@@ -28,7 +28,6 @@ from .syntax import (
     Atom,
     Clause,
     Conj,
-    ConjD,
     Exists,
     Fact,
     Forall,

@@ -2,9 +2,10 @@
 
 Exit codes for ``run``: 0 when at least one solution was found, 1 on
 finite failure, 2 on any error, 3 when the search was cut by the depth
-limit before finding a solution.  ``check`` exits 0 on MATCH, 1 on
-MISMATCH, 2 on errors, 3 on oracle overflow or an engine search it could
-not certify.
+limit or by Python's recursion limit before finding a solution.  ``check``
+exits 0 on MATCH, 1 on MISMATCH, 2 on errors, 3 on oracle overflow or an
+engine search it could not certify.  Input nested too deeply to parse,
+load or print is an error (2).
 
 Set PROLOGTHETA_NO_COLOR to disable ANSI styling (it is also disabled when
 stdout is not a terminal).
@@ -153,17 +154,15 @@ class SessionState:
     loaded: list[Program] = field(default_factory=list)
     config: SolveConfig = field(default_factory=SolveConfig)
     policy: QueryPolicy = field(default_factory=QueryPolicy)
-    history: list[str] = field(default_factory=list)
 
     def program(self) -> Program:
         if not self.loaded:
-            return Program(name="empty", clauses=(), unknown_table={})
+            return Program(name="empty", clauses=(), unknown_table={}, arity_table={})
         if len(self.loaded) == 1:
             return self.loaded[0]
         return combine(self.loaded, name="program")
 
     def start_query(self, text: str) -> SolveSession:
-        self.history.append(text)
         goal = desugar_query_vars(parse_query(text), self.policy)
         return solve(self.program(), goal, self.config)
 
@@ -311,24 +310,21 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
                         printer.plain(f"unknown setting: {key} {value}")
                 else:
                     printer.plain(f"unknown command: {line}  (:help for help)")
-            except (ParseError, LoadError, ValueError) as exc:
+            except (ParseError, LoadError, ValueError, RecursionError) as exc:
                 printer.plain(f"error: {exc}")
             continue
         try:
             active = state.start_query(line)
             sol = active.next_solution()
-        except (ParseError, LoadError, EngineError) as exc:
+            if sol is None:
+                printer.plain("incomplete search." if active.incomplete else "no.")
+                active = None
+            else:
+                emit_solution(sol)
+        except (ParseError, LoadError, EngineError, RecursionError) as exc:
+            # RecursionError here comes from parsing or printing too deep a term
             printer.plain(f"error: {exc}")
             active = None
-            continue
-        if sol is None:
-            if active.incomplete:
-                printer.plain("incomplete search.")
-            else:
-                printer.plain("no.")
-            active = None
-        else:
-            emit_solution(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +355,7 @@ def run_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         return 2
     try:
         programs = _load_modules(args.module)
-        program = combine(programs) if programs else Program("empty", (), {})
+        program = combine(programs) if programs else Program("empty", (), {}, {})
         goal = desugar_query_vars(parse_query(args.query), QueryPolicy())
         if args.universe_depth == 0 and has_compound_terms(program, goal):
             print(
@@ -441,11 +437,17 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "run":
-        return run_batch(args, sys.stdout, sys.stderr)
-    if args.command == "repl":
-        return run_repl(args, sys.stdin, sys.stdout, sys.stderr)
-    return run_check(args, sys.stdout, sys.stderr)
+    try:
+        if args.command == "run":
+            return run_batch(args, sys.stdout, sys.stderr)
+        if args.command == "repl":
+            return run_repl(args, sys.stdin, sys.stdout, sys.stderr)
+        return run_check(args, sys.stdout, sys.stderr)
+    except RecursionError as exc:
+        # a search cut this way is reported incomplete by the engine; what
+        # arrives here is a parse, load or print of too deep a term
+        print(f"error: input nested too deeply ({exc})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional, Union
 
 from .terms import (
@@ -35,14 +36,13 @@ from .syntax import (
     Atom,
     Clause,
     Conj,
-    ConjD,
     Exists,
     Fact,
     Forall,
     Goal,
     Rule,
-    subst_clause,
-    subst_goal,
+    map_terms,
+    subst_term,
     wellformed,
 )
 from .loader import Program
@@ -170,7 +170,7 @@ class ProofSearch:
                     self._retract()
         elif isinstance(goal, Exists):
             witness = fresh_var(goal.var.name)
-            body = subst_goal(goal.body, {goal.var.id: witness})
+            body = map_terms(goal.body, partial(subst_term, {goal.var.id: witness}))
             for _ in self.reduce_goal(body, depth + 1):
                 theta = (goal.var.name, witness) if goal.noisy else None
                 self._emit("pv", self.program, goal, theta)
@@ -187,7 +187,7 @@ class ProofSearch:
         Facts unify directly; a rule's head is unified and then its body is
         proved against the full program; universals are stripped by
         renaming the bound variable fresh, recording the instantiation for
-        noisy ones; clause conjunctions try both sides in order.
+        noisy ones.
         """
         if self._too_deep(depth):
             return
@@ -208,18 +208,12 @@ class ProofSearch:
             self._undo(mark)
         elif isinstance(clause, Forall):
             witness = fresh_var(clause.var.name)
-            inner = subst_clause(clause.inner, {clause.var.id: witness})
+            inner = map_terms(clause.inner, partial(subst_term, {clause.var.id: witness}))
             for _ in self.backchain(inner, goal_atom, depth + 1):
                 theta = (clause.var.name, witness) if clause.noisy else None
                 self._emit("bc", clause, goal_atom, theta)
                 yield
                 self._retract()
-        elif isinstance(clause, ConjD):
-            for side in (clause.left, clause.right):
-                for _ in self.backchain(side, goal_atom, depth + 1):
-                    self._emit("bc", clause, goal_atom, None)
-                    yield
-                    self._retract()
         else:
             raise EngineError(f"not a clause node: {clause!r}")
 
@@ -231,35 +225,13 @@ class ProofSearch:
             ProofStep(
                 index=i,
                 kind=kind,
-                focus=focus if isinstance(focus, Program) else _resolve_clause(focus, subst),
-                goal=_resolve_goal(goal, subst),
+                focus=focus if isinstance(focus, Program) else map_terms(focus, subst.resolve),
+                goal=map_terms(goal, subst.resolve),
                 theta=None if theta is None else (theta[0], subst.resolve(theta[1])),
             )
             for i, (kind, focus, goal, theta) in enumerate(self.steps, 1)
         )
         return ProofTrace(steps), subst
-
-
-def _resolve_goal(goal: Goal, subst: Substitution) -> Goal:
-    if isinstance(goal, Atom):
-        return Atom(goal.pred, tuple(subst.resolve(t) for t in goal.args))
-    if isinstance(goal, Conj):
-        return Conj(_resolve_goal(goal.left, subst), _resolve_goal(goal.right, subst))
-    if isinstance(goal, Exists):
-        return Exists(goal.var, _resolve_goal(goal.body, subst), goal.noisy)
-    return goal
-
-
-def _resolve_clause(clause: Clause, subst: Substitution) -> Clause:
-    if isinstance(clause, Fact):
-        return Fact(_resolve_goal(clause.head, subst))
-    if isinstance(clause, Rule):
-        return Rule(_resolve_goal(clause.head, subst), _resolve_goal(clause.body, subst))
-    if isinstance(clause, Forall):
-        return Forall(clause.var, _resolve_clause(clause.inner, subst), clause.noisy)
-    if isinstance(clause, ConjD):
-        return ConjD(_resolve_clause(clause.left, subst), _resolve_clause(clause.right, subst))
-    return clause
 
 
 def collect_answer(
@@ -287,10 +259,13 @@ class SolveSession:
 
     Iterate it, or call ``next_solution()`` which returns None when the
     stream ends; ``incomplete`` tells whether any branch was cut by the
-    depth limit, distinguishing a bounded search from finite failure.
+    depth limit or by Python's recursion limit, distinguishing a bounded
+    search from finite failure.
     """
 
     def __init__(self, program: Program, goal: Goal, config: SolveConfig):
+        # a copy: the query may name predicates the program does not, and
+        # those must not enter a table that other sessions share
         issues = wellformed(goal, arities=program.arities(), allow_unknowns=True)
         if issues:
             raise EngineError("; ".join(issues))
@@ -307,22 +282,27 @@ class SolveSession:
 
     def _run(self) -> Iterator[Solution]:
         config = self.config
-        for _ in self.search.reduce_goal(self.goal, 1):
-            trace, subst = self.search.snapshot()
-            answer = collect_answer(trace, subst, config.groundness_mode)
-            if answer is None:
-                continue  # non-ground noisy witness: reject and backtrack
-            yield Solution(
-                answer=tuple(answer),
-                trace=trace if config.trace_enabled else None,
-                final_subst=subst,
-            )
-            self.solutions_found += 1
-            if (
-                config.max_solutions is not None
-                and self.solutions_found >= config.max_solutions
-            ):
-                return
+        try:
+            for _ in self.search.reduce_goal(self.goal, 1):
+                trace, subst = self.search.snapshot()
+                answer = collect_answer(trace, subst, config.groundness_mode)
+                if answer is None:
+                    continue  # non-ground noisy witness: reject and backtrack
+                yield Solution(
+                    answer=tuple(answer),
+                    trace=trace if config.trace_enabled else None,
+                    final_subst=subst,
+                )
+                self.solutions_found += 1
+                if (
+                    config.max_solutions is not None
+                    and self.solutions_found >= config.max_solutions
+                ):
+                    return
+        except RecursionError:
+            # Python's stack ran out before the depth limit did: the same
+            # cut, so the solutions already found stand
+            self.search.depth_clipped = True
 
     def __iter__(self) -> Iterator[Solution]:
         return self._gen

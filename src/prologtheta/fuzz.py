@@ -15,9 +15,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .terms import Compound
 from .loader import Program, load
 from .parser import parse_query
-from .syntax import QueryPolicy, desugar_query_vars, silent_twin
+from .syntax import QueryPolicy, desugar_query_vars, iter_atoms, silent_twin
 from .engine import SolveConfig, solve
 from .oracle import OracleOverflow, herbrand_universe, oracle_solve
 
@@ -170,7 +171,7 @@ def differential_check(
         return CheckReport(
             status="incomplete",
             engine_answers=engine_answers,
-            detail="engine search hit the depth limit; cannot certify",
+            detail="engine search hit the depth or recursion limit; cannot certify",
         )
     try:
         universe = herbrand_universe(program, universe_depth)
@@ -211,17 +212,12 @@ def _describe_mismatch(engine_answers: frozenset, oracle_answers: frozenset) -> 
 
 def has_compound_terms(program: Program, goal) -> bool:
     """True when any clause or goal atom carries a nested (functor) term."""
-    from .terms import Compound
-    from .syntax import clause_atoms, goal_atoms
-
-    def nested(term) -> bool:
-        return isinstance(term, Compound)
-
-    for clause in program.clauses:
-        for a in clause_atoms(clause):
-            if any(nested(t) for t in a.args):
-                return True
-    return any(nested(t) for a in goal_atoms(goal) for t in a.args)
+    return any(
+        isinstance(t, Compound)
+        for node in (*program.clauses, goal)
+        for a in iter_atoms(node)
+        for t in a.args
+    )
 
 
 def check_case(case: FuzzCase, **kwargs) -> CheckReport:
@@ -254,6 +250,7 @@ def erasure_outcomes(
         name=program.name,
         clauses=tuple(silent_twin(c) for c in program.clauses),
         unknown_table=program.unknown_table,
+        arity_table=program.arity_table,
     )
     twin_goal = silent_twin(goal)
     config = SolveConfig(

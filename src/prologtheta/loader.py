@@ -14,19 +14,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .terms import Compound, Star, Term, Unknown, Var, fresh_unknown
-from .syntax import (
-    Atom,
-    Clause,
-    ConjD,
-    Fact,
-    Forall,
-    Rule,
-    binder_names,
-    desugar_clause_vars,
-    flatten_clause,
-    predicate_arities,
-    wellformed,
-)
+from .syntax import Clause, binder_names, desugar_clause_vars, map_terms, wellformed
 from .parser import ParseError, ParseIssue, SourceModule, parse_module
 
 
@@ -40,70 +28,31 @@ class LoadError(Exception):
 
 @dataclass(frozen=True)
 class Program:
-    """An immutable, closed program: safe to share between sessions."""
+    """An immutable, closed program: safe to share between sessions.
+
+    ``arity_table`` maps each predicate to its arity at first use, as the
+    well-formedness check built it; readers must not extend it.
+    """
 
     name: str
     clauses: tuple[Clause, ...]
     unknown_table: dict
+    arity_table: dict
 
     def arities(self) -> dict:
-        return predicate_arities(self.clauses)
+        """A copy of the arity table, free for a caller to extend."""
+        return dict(self.arity_table)
 
 
-def _replace_stars(term: Term, origin: str) -> Term:
+def _skolem_term(term: Term, origin: str, table: dict) -> Term:
+    # Safe as a plain name lookup: binder collisions were rejected already.
     if isinstance(term, Star):
         return fresh_unknown(origin)
+    if isinstance(term, Var):
+        return table.get(term.name, term)
     if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_replace_stars(a, origin) for a in term.args))
+        return Compound(term.functor, tuple(_skolem_term(a, origin, table) for a in term.args))
     return term
-
-
-def _replace_stars_clause(clause: Clause, origin: str) -> Clause:
-    if isinstance(clause, Fact):
-        return Fact(Atom(clause.head.pred,
-                         tuple(_replace_stars(t, origin) for t in clause.head.args)))
-    if isinstance(clause, Forall):
-        return Forall(clause.var, _replace_stars_clause(clause.inner, origin), clause.noisy)
-    if isinstance(clause, ConjD):
-        return ConjD(_replace_stars_clause(clause.left, origin),
-                     _replace_stars_clause(clause.right, origin))
-    return clause  # rule bodies/heads were star-checked by the parser
-
-
-def _replace_named(term: Term, table: dict) -> Term:
-    if isinstance(term, Var) and term.name in table:
-        return table[term.name]
-    if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_replace_named(a, table) for a in term.args))
-    return term
-
-
-def _replace_named_clause(clause: Clause, table: dict) -> Clause:
-    # Safe as a plain name walk: binder collisions were rejected already.
-    from .syntax import Conj, Exists, Goal
-
-    def on_goal(g):
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(_replace_named(t, table) for t in g.args))
-        if isinstance(g, Conj):
-            return Conj(on_goal(g.left), on_goal(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, on_goal(g.body), g.noisy)
-        raise TypeError(f"not a goal node: {g!r}")
-
-    if isinstance(clause, Fact):
-        return Fact(Atom(clause.head.pred,
-                         tuple(_replace_named(t, table) for t in clause.head.args)))
-    if isinstance(clause, Rule):
-        head = Atom(clause.head.pred,
-                    tuple(_replace_named(t, table) for t in clause.head.args))
-        return Rule(head, on_goal(clause.body))
-    if isinstance(clause, Forall):
-        return Forall(clause.var, _replace_named_clause(clause.inner, table), clause.noisy)
-    if isinstance(clause, ConjD):
-        return ConjD(_replace_named_clause(clause.left, table),
-                     _replace_named_clause(clause.right, table))
-    raise TypeError(f"not a clause node: {clause!r}")
 
 
 def skolemize(module: SourceModule) -> Program:
@@ -130,16 +79,17 @@ def skolemize(module: SourceModule) -> Program:
                 ParseIssue(f"ambiguous unknown scope: {', '.join(clash)}", line, col)
             )
             continue
-        clause = _replace_stars_clause(raw, module.name)
-        if table:
-            clause = _replace_named_clause(clause, table)
+        # each ``*`` draws its own Unknown, in textual order
+        clause = map_terms(raw, lambda t: _skolem_term(t, module.name, table))
         clause = desugar_clause_vars(clause)
         problems = wellformed(clause, arities=arities, allow_unknowns=True)
         issues.extend(ParseIssue(p, line, col) for p in problems)
-        closed.extend(flatten_clause(clause))
+        closed.append(clause)
     if issues:
         raise LoadError(issues)
-    return Program(name=module.name, clauses=tuple(closed), unknown_table=table)
+    return Program(
+        name=module.name, clauses=tuple(closed), unknown_table=table, arity_table=arities
+    )
 
 
 def load(source: Union[str, Path], *, name: Optional[str] = None) -> Program:
@@ -196,4 +146,6 @@ def combine(programs: Iterable[Program], name: str = "program") -> Program:
             table[key] = unk
     if issues:
         raise LoadError(issues)
-    return Program(name=name, clauses=tuple(clauses), unknown_table=table)
+    return Program(
+        name=name, clauses=tuple(clauses), unknown_table=table, arity_table=arities
+    )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .terms import Compound, Const, Term, Unknown, Var
-from .syntax import Atom, Clause, Conj, ConjD, Exists, Fact, Forall, Goal, Rule
+from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule, iter_atoms
 from .loader import Program
 
 
@@ -46,29 +46,6 @@ def _collect_ground_leaves(term: Term, consts: list, functors: list) -> None:
             _collect_ground_leaves(a, consts, functors)
 
 
-def _clause_terms(clause: Clause):
-    if isinstance(clause, Fact):
-        yield from clause.head.args
-    elif isinstance(clause, Rule):
-        yield from clause.head.args
-        yield from _goal_terms(clause.body)
-    elif isinstance(clause, Forall):
-        yield from _clause_terms(clause.inner)
-    elif isinstance(clause, ConjD):
-        yield from _clause_terms(clause.left)
-        yield from _clause_terms(clause.right)
-
-
-def _goal_terms(goal: Goal):
-    if isinstance(goal, Atom):
-        yield from goal.args
-    elif isinstance(goal, Conj):
-        yield from _goal_terms(goal.left)
-        yield from _goal_terms(goal.right)
-    elif isinstance(goal, Exists):
-        yield from _goal_terms(goal.body)
-
-
 _UNIVERSE_CAP = 50_000
 
 
@@ -83,8 +60,9 @@ def herbrand_universe(program: Program, depth_bound: int = 0) -> Universe:
     consts: list[Term] = []
     functors: list[tuple[str, int]] = []
     for clause in program.clauses:
-        for term in _clause_terms(clause):
-            _collect_ground_leaves(term, consts, functors)
+        for a in iter_atoms(clause):
+            for term in a.args:
+                _collect_ground_leaves(term, consts, functors)
     terms: list[Term] = list(consts)
     seen = set(terms)
     frontier = list(terms)
@@ -193,10 +171,6 @@ class _Enumerator:
                     sub = {ans + ((clause.var.name, pick),) for ans in sub}
                 out |= sub
             return frozenset(out)
-        if isinstance(clause, ConjD):
-            return self.chain(clause.left, cenv, target, depth - 1) | self.chain(
-                clause.right, cenv, target, depth - 1
-            )
         raise TypeError(f"not a clause node: {clause!r}")
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import Compound, Const, Star, Term, Unknown, Var, fresh_var
-from .syntax import Atom, Clause, Conj, ConjD, Exists, Fact, Forall, Goal, Rule
+from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule
 
 RESERVED_WORDS = {"module", "unknown", "some", "all", "some*", "all*"}
 
@@ -457,9 +457,6 @@ def format_clause(clause: Clause, with_period: bool = False) -> str:
     elif isinstance(clause, Forall):
         binder = "all*" if clause.noisy else "all"
         text = f"{binder} {clause.var.name} : {format_clause(clause.inner)}"
-    elif isinstance(clause, ConjD):
-        # clause conjunctions have no surface syntax; display only
-        text = f"({format_clause(clause.left)} & {format_clause(clause.right)})"
     else:
         raise TypeError(f"not a clause: {clause!r}")
     return text + "." if with_period else text

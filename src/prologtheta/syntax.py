@@ -1,9 +1,10 @@
 """Goal and clause ASTs, variable desugaring, and well-formedness checks.
 
 Goals are atoms, conjunctions, and existentials; clauses are facts, rules,
-universals, and clause conjunctions.  Quantifier nodes carry a ``noisy``
-flag: noisy binders (surface ``some*`` / ``all*``) record their
-instantiation in the answer substitution, silent ones do not.
+and universals.  A program is a clause list, so a conjunction of clauses
+needs no node of its own.  Quantifier nodes carry a ``noisy`` flag: noisy
+binders (surface ``some*`` / ``all*``) record their instantiation in the
+answer substitution, silent ones do not.
 
 Raw ASTs coming out of the parser may contain free variables and anonymous
 ``_`` variables.  Desugaring closes them: in clauses they become silent
@@ -15,7 +16,7 @@ conventional top level displays every query binding).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .terms import Compound, Star, Term, Unknown, Var, fresh_var
 
@@ -64,13 +65,7 @@ class Forall:
     noisy: bool
 
 
-@dataclass(frozen=True)
-class ConjD:
-    left: "Clause"
-    right: "Clause"
-
-
-Clause = Union[Fact, Rule, Forall, ConjD]
+Clause = Union[Fact, Rule, Forall]
 
 
 @dataclass(frozen=True)
@@ -85,41 +80,88 @@ def atom(pred: str, *args: Term) -> Atom:
 
 
 # ---------------------------------------------------------------------------
-# Structural substitution (capture-free because binder ids are unique).
+# One traversal for every pass over goals and clauses.
 
 
-def subst_term(term: Term, mapping: dict) -> Term:
+class NodeError(TypeError):
+    """A goal node in clause position, or a clause node in goal position."""
+
+
+_CLAUSE_NODES = (Fact, Rule, Forall)
+
+
+def _keep(var: Var, noisy: bool, scope):
+    return var, noisy, scope
+
+
+def fold(node, on_atom, on_binder=_keep, scope=None):
+    """Copy a goal or clause, handing every atom and binder to a callback.
+
+    ``on_atom(atom, scope)`` returns the copy of each atom, clause heads
+    included.  ``on_binder(var, noisy, scope)`` returns the ``(var, noisy,
+    inner_scope)`` of each quantifier before its body is copied, so a
+    binder's scope reaches exactly the atoms under it; by default binders
+    are kept as they are.  Callbacks run in textual order (left before
+    right, head before body), which fixes the order of any fresh ids they
+    draw.  Raises NodeError for a node out of place.
+    """
+    return _fold(node, not isinstance(node, _CLAUSE_NODES), on_atom, on_binder, scope)
+
+
+def _fold(node, in_goal: bool, on_atom, on_binder, scope):
+    if in_goal:
+        if isinstance(node, Atom):
+            return on_atom(node, scope)
+        if isinstance(node, Conj):
+            return Conj(
+                _fold(node.left, True, on_atom, on_binder, scope),
+                _fold(node.right, True, on_atom, on_binder, scope),
+            )
+        if isinstance(node, Exists):
+            var, noisy, inner = on_binder(node.var, node.noisy, scope)
+            return Exists(var, _fold(node.body, True, on_atom, on_binder, inner), noisy)
+    elif isinstance(node, Fact):
+        return Fact(on_atom(node.head, scope))
+    elif isinstance(node, Rule):
+        return Rule(on_atom(node.head, scope), _fold(node.body, True, on_atom, on_binder, scope))
+    elif isinstance(node, Forall):
+        var, noisy, inner = on_binder(node.var, node.noisy, scope)
+        return Forall(var, _fold(node.inner, False, on_atom, on_binder, inner), noisy)
+    if in_goal and isinstance(node, _CLAUSE_NODES):
+        raise NodeError("universal/clause construct not allowed in a goal")
+    if not in_goal and isinstance(node, (Conj, Exists)):
+        raise NodeError("existential not allowed in a clause")
+    raise NodeError(f"not a {'goal' if in_goal else 'clause'} node: {node!r}")
+
+
+def map_terms(node, f):
+    """Copy a goal or clause with ``f`` applied to every atom argument."""
+    return fold(node, lambda a, _: Atom(a.pred, tuple(map(f, a.args))))
+
+
+def iter_atoms(node) -> list[Atom]:
+    """The atoms of a goal or clause in textual order, heads first."""
+    atoms: list[Atom] = []
+
+    def visit(a: Atom, _) -> Atom:
+        atoms.append(a)
+        return a
+
+    fold(node, visit)
+    return atoms
+
+
+def subst_term(mapping: dict, term: Term) -> Term:
+    """Replace variables by id; capture-free because binder ids are unique.
+
+    The mapping comes first so that ``partial(subst_term, mapping)`` is a
+    one-argument function for ``map_terms``.
+    """
     if isinstance(term, Var):
         return mapping.get(term.id, term)
     if isinstance(term, Compound):
-        return Compound(term.functor, tuple(subst_term(a, mapping) for a in term.args))
+        return Compound(term.functor, tuple(subst_term(mapping, a) for a in term.args))
     return term
-
-
-def subst_atom(a: Atom, mapping: dict) -> Atom:
-    return Atom(a.pred, tuple(subst_term(t, mapping) for t in a.args))
-
-
-def subst_goal(goal: Goal, mapping: dict) -> Goal:
-    if isinstance(goal, Atom):
-        return subst_atom(goal, mapping)
-    if isinstance(goal, Conj):
-        return Conj(subst_goal(goal.left, mapping), subst_goal(goal.right, mapping))
-    if isinstance(goal, Exists):
-        return Exists(goal.var, subst_goal(goal.body, mapping), goal.noisy)
-    raise TypeError(f"not a goal node: {goal!r}")
-
-
-def subst_clause(clause: Clause, mapping: dict) -> Clause:
-    if isinstance(clause, Fact):
-        return Fact(subst_atom(clause.head, mapping))
-    if isinstance(clause, Rule):
-        return Rule(subst_atom(clause.head, mapping), subst_goal(clause.body, mapping))
-    if isinstance(clause, Forall):
-        return Forall(clause.var, subst_clause(clause.inner, mapping), clause.noisy)
-    if isinstance(clause, ConjD):
-        return ConjD(subst_clause(clause.left, mapping), subst_clause(clause.right, mapping))
-    raise TypeError(f"not a clause node: {clause!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,48 +207,20 @@ def _desugar_term(term: Term, env: dict, active: set, free: _FreeVars) -> Term:
     return term
 
 
-def _rebind(var: Var, env: dict, active: set) -> tuple[Var, dict, set]:
+def _rebind(var: Var, noisy: bool, scope: tuple) -> tuple:
     # Keep the parsed binder variable unless an enclosing binder already
     # uses the same id (same-name nesting shares provisional ids).
+    env, active = scope
     v = fresh_var(var.name) if var.id in active else var
-    return v, {**env, var.name: v}, active | {v.id}
+    return v, noisy, ({**env, var.name: v}, active | {v.id})
 
 
-def _desugar_goal(goal: Goal, env: dict, active: set, free: _FreeVars) -> Goal:
-    if isinstance(goal, Atom):
-        return Atom(goal.pred, tuple(_desugar_term(t, env, active, free) for t in goal.args))
-    if isinstance(goal, Conj):
-        return Conj(
-            _desugar_goal(goal.left, env, active, free),
-            _desugar_goal(goal.right, env, active, free),
-        )
-    if isinstance(goal, Exists):
-        v, env2, active2 = _rebind(goal.var, env, active)
-        return Exists(v, _desugar_goal(goal.body, env2, active2, free), goal.noisy)
-    raise TypeError(f"not a goal node: {goal!r}")
+def _desugar(node, free: _FreeVars):
+    def on_atom(a: Atom, scope: tuple) -> Atom:
+        env, active = scope
+        return Atom(a.pred, tuple(_desugar_term(t, env, active, free) for t in a.args))
 
-
-def _desugar_clause(clause: Clause, env: dict, active: set, free: _FreeVars) -> Clause:
-    if isinstance(clause, Fact):
-        return Fact(
-            Atom(clause.head.pred,
-                 tuple(_desugar_term(t, env, active, free) for t in clause.head.args))
-        )
-    if isinstance(clause, Rule):
-        head = Atom(
-            clause.head.pred,
-            tuple(_desugar_term(t, env, active, free) for t in clause.head.args),
-        )
-        return Rule(head, _desugar_goal(clause.body, env, active, free))
-    if isinstance(clause, Forall):
-        v, env2, active2 = _rebind(clause.var, env, active)
-        return Forall(v, _desugar_clause(clause.inner, env2, active2, free), clause.noisy)
-    if isinstance(clause, ConjD):
-        return ConjD(
-            _desugar_clause(clause.left, env, active, free),
-            _desugar_clause(clause.right, env, active, free),
-        )
-    raise TypeError(f"not a clause node: {clause!r}")
+    return fold(node, on_atom, _rebind, ({}, set()))
 
 
 def desugar_clause_vars(raw_clause: Clause) -> Clause:
@@ -217,7 +231,7 @@ def desugar_clause_vars(raw_clause: Clause) -> Clause:
     order, outermost first.  Already-closed clauses come back unchanged.
     """
     free = _FreeVars()
-    out = _desugar_clause(raw_clause, {}, set(), free)
+    out = _desugar(raw_clause, free)
     for v in reversed(free.order):
         out = Forall(v, out, noisy=False)
     return out
@@ -231,7 +245,7 @@ def desugar_query_vars(raw_goal: Goal, policy: QueryPolicy = QueryPolicy()) -> G
     binders are preserved.
     """
     free = _FreeVars()
-    out = _desugar_goal(raw_goal, {}, set(), free)
+    out = _desugar(raw_goal, free)
     noisy_default = policy.default_free_var == "noisy-existential"
     for v in reversed(free.order):
         out = Exists(v, out, noisy=noisy_default and v.name != "_")
@@ -271,7 +285,7 @@ def wellformed(
             for a in t.args:
                 check_term(a, bound)
 
-    def check_atom(a: Atom, bound: frozenset) -> None:
+    def check_atom(a: Atom, bound: frozenset) -> Atom:
         seen = arities.get(a.pred)
         if seen is None:
             arities[a.pred] = len(a.args)
@@ -281,49 +295,16 @@ def wellformed(
             )
         for t in a.args:
             check_term(t, bound)
+        return a
 
-    def check_goal(g, bound: frozenset) -> None:
-        if isinstance(g, Atom):
-            check_atom(g, bound)
-        elif isinstance(g, Conj):
-            check_goal(g.left, bound)
-            check_goal(g.right, bound)
-        elif isinstance(g, Exists):
-            check_goal(g.body, bound | {g.var.id})
-        elif isinstance(g, (Fact, Rule, Forall, ConjD)):
-            errors.append("universal/clause construct not allowed in a goal")
-        else:
-            errors.append(f"not a goal node: {g!r}")
+    def bind(var: Var, noisy: bool, bound: frozenset) -> tuple:
+        return var, noisy, bound | {var.id}
 
-    def check_clause(c, bound: frozenset) -> None:
-        if isinstance(c, Fact):
-            check_atom(c.head, bound)
-        elif isinstance(c, Rule):
-            check_atom(c.head, bound)
-            check_goal(c.body, bound)
-        elif isinstance(c, Forall):
-            check_clause(c.inner, bound | {c.var.id})
-        elif isinstance(c, ConjD):
-            check_clause(c.left, bound)
-            check_clause(c.right, bound)
-        elif isinstance(c, (Conj, Exists)):
-            errors.append("existential not allowed in a clause")
-        else:
-            errors.append(f"not a clause node: {c!r}")
-
-    if isinstance(node, (Fact, Rule, Forall, ConjD)):
-        check_clause(node, frozenset())
-    else:
-        check_goal(node, frozenset())
+    try:
+        fold(node, check_atom, bind, frozenset())
+    except NodeError as err:
+        errors.append(str(err))
     return errors
-
-
-def predicate_arities(clauses) -> dict:
-    """Predicate arity table inferred from first use."""
-    table: dict[str, int] = {}
-    for c in clauses:
-        wellformed(c, arities=table, allow_unknowns=True)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -332,74 +313,16 @@ def predicate_arities(clauses) -> dict:
 
 def silent_twin(node: Union[Goal, Clause]) -> Union[Goal, Clause]:
     """Copy with every noisy quantifier replaced by its silent version."""
-    if isinstance(node, Atom):
-        return node
-    if isinstance(node, Conj):
-        return Conj(silent_twin(node.left), silent_twin(node.right))
-    if isinstance(node, Exists):
-        return Exists(node.var, silent_twin(node.body), noisy=False)
-    if isinstance(node, Fact):
-        return node
-    if isinstance(node, Rule):
-        return Rule(node.head, silent_twin(node.body))
-    if isinstance(node, Forall):
-        return Forall(node.var, silent_twin(node.inner), noisy=False)
-    if isinstance(node, ConjD):
-        return ConjD(silent_twin(node.left), silent_twin(node.right))
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def flatten_clause(clause: Clause) -> list[Clause]:
-    """Split top-level clause conjunctions into an ordered clause list."""
-    if isinstance(clause, ConjD):
-        return flatten_clause(clause.left) + flatten_clause(clause.right)
-    return [clause]
-
-
-def goal_atoms(goal: Goal) -> Iterator[Atom]:
-    if isinstance(goal, Atom):
-        yield goal
-    elif isinstance(goal, Conj):
-        yield from goal_atoms(goal.left)
-        yield from goal_atoms(goal.right)
-    elif isinstance(goal, Exists):
-        yield from goal_atoms(goal.body)
-
-
-def clause_atoms(clause: Clause) -> Iterator[Atom]:
-    if isinstance(clause, Fact):
-        yield clause.head
-    elif isinstance(clause, Rule):
-        yield clause.head
-        yield from goal_atoms(clause.body)
-    elif isinstance(clause, Forall):
-        yield from clause_atoms(clause.inner)
-    elif isinstance(clause, ConjD):
-        yield from clause_atoms(clause.left)
-        yield from clause_atoms(clause.right)
+    return fold(node, lambda a, _: a, lambda var, _, scope: (var, False, scope))
 
 
 def binder_names(clause: Clause) -> set:
     """Names bound by explicit quantifiers anywhere in the clause."""
     names: set[str] = set()
 
-    def goal_walk(g: Goal) -> None:
-        if isinstance(g, Conj):
-            goal_walk(g.left)
-            goal_walk(g.right)
-        elif isinstance(g, Exists):
-            names.add(g.var.name)
-            goal_walk(g.body)
+    def visit(var: Var, noisy: bool, scope) -> tuple:
+        names.add(var.name)
+        return var, noisy, scope
 
-    def clause_walk(c: Clause) -> None:
-        if isinstance(c, Rule):
-            goal_walk(c.body)
-        elif isinstance(c, Forall):
-            names.add(c.var.name)
-            clause_walk(c.inner)
-        elif isinstance(c, ConjD):
-            clause_walk(c.left)
-            clause_walk(c.right)
-
-    clause_walk(clause)
+    fold(clause, lambda a, _: a, visit)
     return names

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -98,15 +98,6 @@ def is_ground(term: Term) -> bool:
     if isinstance(term, Compound):
         return all(is_ground(a) for a in term.args)
     return True
-
-
-def term_vars(term: Term) -> Iterator[Var]:
-    """Yield variable occurrences left to right (with repetitions)."""
-    if isinstance(term, Var):
-        yield term
-    elif isinstance(term, Compound):
-        for a in term.args:
-            yield from term_vars(a)
 
 
 def walk_shallow(term: Term, bindings: Mapping[int, Term]) -> Term:
@@ -197,7 +188,7 @@ def unify_into(
 class Substitution:
     """A finite map from variables to terms, stored triangularly.
 
-    Instances behave as immutable values: ``bind`` and ``compose`` return
+    Instances behave as immutable values: ``unify`` and ``compose`` return
     new substitutions.  Equality compares the fully resolved maps, so two
     substitutions that differ only in chain shape are equal.
     """
@@ -207,28 +198,11 @@ class Substitution:
     def __init__(self, bindings: Optional[Mapping[int, Term]] = None):
         self._bindings = dict(bindings) if bindings else {}
 
-    def lookup(self, var_id: int) -> Optional[Term]:
-        return self._bindings.get(var_id)
-
-    def __contains__(self, var: Var) -> bool:
-        return var.id in self._bindings
-
     def __len__(self) -> int:
         return len(self._bindings)
 
     def __bool__(self) -> bool:
         return True
-
-    def domain(self) -> frozenset:
-        return frozenset(self._bindings)
-
-    def bind(self, var: Var, term: Term) -> "Substitution":
-        new = dict(self._bindings)
-        new[var.id] = term
-        return Substitution(new)
-
-    def walk(self, term: Term) -> Term:
-        return walk_shallow(term, self._bindings)
 
     def resolve(self, term: Term) -> Term:
         return resolve_term(term, self._bindings)
@@ -247,9 +221,6 @@ class Substitution:
     def __repr__(self) -> str:
         inner = ", ".join(f"_{vid} -> {t!r}" for vid, t in sorted(self._bindings.items()))
         return f"Substitution({{{inner}}})"
-
-
-EMPTY_SUBST = Substitution()
 
 
 def apply(subst: Substitution, term: Term) -> Term:

@@ -258,3 +258,62 @@ def test_fuzz_output_is_byte_deterministic_for_a_seed(tmp_path, cli_env):
     second = _run_cli(args, tmp_path, cli_env)
     assert first.returncode == second.returncode == 0, (first.stderr + second.stderr).decode()
     assert first.stdout == second.stdout
+
+
+def _nested(depth):
+    term = "a"
+    for _ in range(depth):
+        term = f"f({term})"
+    return term
+
+
+@pytest.mark.parametrize(
+    "program, args, code, stdout",
+    [
+        # the search overflows Python's stack: a cut search, not a failure
+        ("p(X) :- p(X).\n", ["--query", "p(a)", "--max-depth", "100000"],
+         3, "incomplete search.\n"),
+        ("p(X) :- p(X).\n", ["--query", "p(a)", "--max-depth", "100000",
+                             "--format", "json"],
+         3, '{"answers": [], "trace": [], "status": "incomplete"}\n'),
+        ("p(X) :- p(X).\n", ["check", "--query", "p(a)", "--max-depth", "100000"],
+         3, None),
+        # loading a term nested too deeply is an error
+        (f"p({_nested(600)}).\n", ["--query", "p(X)"], 2, ""),
+        (f"p({_nested(600)}).\n", ["check", "--query", "p(X)"], 2, ""),
+    ],
+)
+def test_recursion_overflow_maps_to_an_exit_code_without_traceback(
+    program, args, code, stdout, tmp_path, cli_env
+):
+    module = tmp_path / "deep.plt"
+    module.write_text(program, encoding="utf-8")
+    if args[0] == "check":
+        args = ["check", "--module", str(module), *args[1:]]
+    else:
+        args = ["--module", str(module), *args]
+    proc = _run_cli(args, tmp_path, cli_env)
+    assert proc.returncode == code, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    if stdout is not None:
+        assert proc.stdout.decode() == stdout
+    if code == 2:
+        assert proc.stderr.decode().startswith("error: ")
+
+
+def test_repl_reports_recursion_overflow_and_keeps_reading(tmp_path):
+    mod = tmp_path / "m.plt"
+    mod.write_text("p(X) :- p(X).\nq(a).\nq(b).\n", encoding="utf-8")
+    deep = tmp_path / "deep.plt"
+    deep.write_text(f"r({_nested(600)}).\n", encoding="utf-8")
+    script = (
+        ":set max_depth 100000\n:set max_solutions all\n"
+        f"p(a).\n:more\nq(X).\n:load {deep}\n:more\n:quit\n"
+    )
+    code, out = _repl(script, modules=[str(mod)])
+    assert code == 0
+    # the overflowing search is cut, not an error, and leaves no query behind
+    assert "incomplete search.\n?- no active query." in out
+    # a load that overflows is an error that keeps the running query
+    assert "error: maximum recursion depth exceeded" in out
+    assert out.index("X = a") < out.index("error: ") < out.index("X = b")

@@ -332,6 +332,18 @@ def test_query_arity_mismatch_is_rejected():
         solve(prog, goal, ALL)
 
 
+def test_queries_leave_the_program_arity_table_alone():
+    prog = load("p(a).\nq(X) :- p(X).")
+    assert prog.arity_table == {"p": 1, "q": 1}
+    assert answers(solve(prog, desugar_query_vars(parse_query("r(a, b)")), ALL)) == []
+    assert prog.arity_table == {"p": 1, "q": 1}
+    # r/2 from the query before is forgotten, so r/1 is no conflict
+    assert answers(solve(prog, desugar_query_vars(parse_query("r(a)")), ALL)) == []
+    with pytest.raises(EngineError, match="arity"):
+        solve(prog, desugar_query_vars(parse_query("p(a, b)")), ALL)
+    assert prog.arity_table == {"p": 1, "q": 1}
+
+
 def test_determinism_of_solutions_and_traces():
     def run():
         reset_fresh_counters()

@@ -153,3 +153,19 @@ def test_combined_unknowns_stay_module_scoped():
     merged = combine([first, second])
     unknowns = list(merged.unknown_table.values())
     assert len(unknowns) == 2 and unknowns[0] != unknowns[1]
+
+
+def test_unknown_numbering_follows_declarations_then_stars_in_text_order():
+    prog = load(
+        "unknown K.\n"
+        "p(f(*, g(*, K)), *).\n"
+        "all X : q(X, h(*, K), *).\n"
+        "r(K) :- p(f(K, _), _).\n"
+        "s(*, k(*)).\n"
+    )
+    assert [format_clause(c, with_period=True) for c in prog.clauses] == [
+        "p(f(?k2, g(?k3, ?k1)), ?k4).",
+        "all X : q(X, h(?k5, ?k1), ?k6).",
+        "all _ : all _ : r(?k1) :- p(f(?k1, _), _).",
+        "s(?k7, k(?k8)).",
+    ]
