@@ -60,7 +60,6 @@ from .engine import (
     Solution,
     SolveConfig,
     SolveSession,
-    collect_answer,
     format_proof,
     solve,
     validate_trace,

@@ -17,11 +17,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Optional, TextIO
 
 from .terms import is_ground
-from .syntax import QueryPolicy, desugar_query_vars
+from .syntax import desugar_query_vars
 from .parser import (
     ParseError,
     format_clause,
@@ -149,32 +149,37 @@ def solution_json(solution: Optional[Solution], status: str) -> dict:
 # Session state shared by batch and REPL evaluation.
 
 
-@dataclass
-class SessionState:
-    loaded: list[Program] = field(default_factory=list)
-    config: SolveConfig = field(default_factory=SolveConfig)
-    policy: QueryPolicy = field(default_factory=QueryPolicy)
+def _combine(modules: list[Program]) -> Program:
+    """The modules as one program in load order; ``empty`` when there are none."""
+    if not modules:
+        return Program(name="empty", clauses=(), unknown_table={}, arity_table={})
+    return combine(modules)
 
-    def program(self) -> Program:
-        if not self.loaded:
-            return Program(name="empty", clauses=(), unknown_table={}, arity_table={})
-        if len(self.loaded) == 1:
-            return self.loaded[0]
-        return combine(self.loaded, name="program")
+
+class SessionState:
+    """The loaded modules, combined once per load, and the query settings."""
+
+    def __init__(self, modules: list[Program], config: SolveConfig):
+        self.modules = modules
+        self.program = _combine(modules)
+        self.config = config
+
+    def load(self, path: str) -> None:
+        """Add a module; on a LoadError the session is left as it was."""
+        modules = [*self.modules, load_path(path)]
+        self.program = _combine(modules)
+        self.modules = modules
 
     def start_query(self, text: str) -> SolveSession:
-        goal = desugar_query_vars(parse_query(text), self.policy)
-        return solve(self.program(), goal, self.config)
+        goal = desugar_query_vars(parse_query(text))
+        return solve(self.program, goal, self.config)
 
 
 def _config_from_args(args: argparse.Namespace) -> SolveConfig:
-    max_solutions: Optional[int] = getattr(args, "max_solutions", 1)
-    if getattr(args, "all", False):
-        max_solutions = None
     return SolveConfig(
         groundness_mode=args.groundness,
         max_depth=args.max_depth,
-        max_solutions=max_solutions,
+        max_solutions=None if args.all else args.max_solutions,
         occurs_check=args.occurs_check == "on",
         trace_enabled=True,
     )
@@ -191,12 +196,12 @@ def _load_modules(paths) -> list[Program]:
 def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     printer = _Printer(out)
     try:
-        state = SessionState(loaded=_load_modules(args.module), config=_config_from_args(args))
+        state = SessionState(_load_modules(args.module), _config_from_args(args))
         if not args.query:
             print("error: run needs --query", file=err)
             return 2
         session = state.start_query(args.query)
-    except (ParseError, LoadError, EngineError) as exc:
+    except (ParseError, LoadError, EngineError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 
@@ -213,7 +218,7 @@ def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     for sol in solutions:
         for line in _solution_lines(sol):
             printer.bold(line)
-        if args.trace and sol.trace is not None:
+        if args.trace:
             printer.plain(format_proof(sol.trace, sol.answer))
     if not solutions:
         if session.incomplete:
@@ -244,8 +249,8 @@ anything else is a query (trailing '.' optional)."""
 def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) -> int:
     printer = _Printer(out)
     try:
-        state = SessionState(loaded=_load_modules(args.module), config=_config_from_args(args))
-    except (ParseError, LoadError) as exc:
+        state = SessionState(_load_modules(args.module), _config_from_args(args))
+    except (ParseError, LoadError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     show_trace = bool(args.trace)
@@ -254,7 +259,7 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
     def emit_solution(sol: Solution) -> None:
         for line in _solution_lines(sol):
             printer.bold(line)
-        if show_trace and sol.trace is not None:
+        if show_trace:
             printer.plain(format_proof(sol.trace, sol.answer))
 
     while True:
@@ -276,7 +281,7 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
                 elif cmd == ":help":
                     printer.plain(_REPL_HELP)
                 elif cmd == ":load" and len(parts) == 2:
-                    state.loaded.append(load_path(parts[1]))
+                    state.load(parts[1])
                     printer.plain(f"loaded {parts[1]}.")
                 elif cmd == ":trace" and len(parts) == 2 and parts[1] in ("on", "off"):
                     show_trace = parts[1] == "on"
@@ -354,9 +359,8 @@ def run_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         print("error: check needs --query or --fuzz", file=err)
         return 2
     try:
-        programs = _load_modules(args.module)
-        program = combine(programs) if programs else Program("empty", (), {}, {})
-        goal = desugar_query_vars(parse_query(args.query), QueryPolicy())
+        program = _combine(_load_modules(args.module))
+        goal = desugar_query_vars(parse_query(args.query))
         if args.universe_depth == 0 and has_compound_terms(program, goal):
             print(
                 "error: compound terms present; pass --universe-depth to bound "

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional, Union
 
-from .terms import (
-    Substitution,
-    Term,
-    apply,
-    fresh_var,
-    is_ground,
-    unify_into,
-)
+from .terms import Term, fresh_var, is_ground, resolve_term, unify_into
 from .syntax import (
     Atom,
     Clause,
@@ -61,6 +54,11 @@ class SolveConfig:
     occurs_check: bool = True
     trace_enabled: bool = True
 
+    def __post_init__(self) -> None:
+        # a search checks the count only after a solution, so 0 would give one
+        if self.max_solutions is not None and self.max_solutions < 1:
+            raise ValueError(f"max_solutions must be at least 1, not {self.max_solutions}")
+
 
 Theta = tuple[str, Term]
 
@@ -72,7 +70,7 @@ class ProofStep:
     ``focus`` is the clause being decomposed for bc steps and the program
     for pv steps.  ``theta`` is the recorded binding and is present exactly
     when the step instantiated a noisy quantifier; its term is fully
-    resolved against the final substitution.
+    resolved against the bindings of the solution.
     """
 
     index: int
@@ -89,11 +87,14 @@ class ProofTrace:
 
 @dataclass(frozen=True)
 class Solution:
-    """An answer substitution together with the proof that produced it."""
+    """An answer substitution together with the proof that produced it.
+
+    ``trace`` is None when the search ran with ``trace_enabled=False``; the
+    answer is the same either way.
+    """
 
     answer: tuple[Theta, ...]
     trace: Optional[ProofTrace]
-    final_subst: Substitution
 
     @property
     def has_residual_vars(self) -> bool:
@@ -217,41 +218,41 @@ class ProofSearch:
         else:
             raise EngineError(f"not a clause node: {clause!r}")
 
-    # -- snapshots ---------------------------------------------------------
+    # -- results -----------------------------------------------------------
 
-    def snapshot(self) -> tuple[ProofTrace, Substitution]:
-        subst = Substitution(self.bindings)
-        steps = tuple(
+    def answer(self, strict: bool) -> Optional[tuple[Theta, ...]]:
+        """The recorded noisy witnesses in step order, resolved against the
+        current bindings.
+
+        Strict mode returns None (a backtracking signal, not an error) when
+        any witness is not ground; lenient mode keeps residual variables.
+        """
+        out = []
+        for _, _, _, theta in self.steps:
+            if theta is not None:
+                term = resolve_term(theta[1], self.bindings)
+                if strict and not is_ground(term):
+                    return None
+                out.append((theta[0], term))
+        return tuple(out)
+
+    def snapshot(self) -> ProofTrace:
+        """The steps so far as a trace, resolved against the current bindings."""
+        bindings = self.bindings
+
+        def resolve(term: Term) -> Term:
+            return resolve_term(term, bindings)
+
+        return ProofTrace(tuple(
             ProofStep(
                 index=i,
                 kind=kind,
-                focus=focus if isinstance(focus, Program) else map_terms(focus, subst.resolve),
-                goal=map_terms(goal, subst.resolve),
-                theta=None if theta is None else (theta[0], subst.resolve(theta[1])),
+                focus=focus if isinstance(focus, Program) else map_terms(focus, resolve),
+                goal=map_terms(goal, resolve),
+                theta=None if theta is None else (theta[0], resolve(theta[1])),
             )
             for i, (kind, focus, goal, theta) in enumerate(self.steps, 1)
-        )
-        return ProofTrace(steps), subst
-
-
-def collect_answer(
-    trace: ProofTrace, final_subst: Substitution, mode: str = "strict"
-) -> Optional[list[Theta]]:
-    """Gather recorded bindings in step order.
-
-    Strict mode returns None (a backtracking signal, not an error) when any
-    recorded term is not ground; lenient mode keeps residual variables.
-    """
-    out: list[Theta] = []
-    for step in trace.steps:
-        if step.theta is None:
-            continue
-        name, term = step.theta
-        term = apply(final_subst, term)
-        if mode == "strict" and not is_ground(term):
-            return None
-        out.append((name, term))
-    return out
+        ))
 
 
 class SolveSession:
@@ -282,17 +283,15 @@ class SolveSession:
 
     def _run(self) -> Iterator[Solution]:
         config = self.config
+        search = self.search
+        strict = config.groundness_mode == "strict"
         try:
-            for _ in self.search.reduce_goal(self.goal, 1):
-                trace, subst = self.search.snapshot()
-                answer = collect_answer(trace, subst, config.groundness_mode)
+            for _ in search.reduce_goal(self.goal, 1):
+                answer = search.answer(strict)
                 if answer is None:
                     continue  # non-ground noisy witness: reject and backtrack
-                yield Solution(
-                    answer=tuple(answer),
-                    trace=trace if config.trace_enabled else None,
-                    final_subst=subst,
-                )
+                trace = search.snapshot() if config.trace_enabled else None
+                yield Solution(answer=answer, trace=trace)
                 self.solutions_found += 1
                 if (
                     config.max_solutions is not None
@@ -316,8 +315,8 @@ def solve(program: Program, goal: Goal, config: SolveConfig = SolveConfig()) -> 
 
     The goal must be closed and well formed (desugar queries first).
     Solutions come in depth-first, left-to-right, clause order; each
-    carries the recorded answer bindings, the bottom-up proof trace, and
-    the final substitution.
+    carries the recorded answer bindings and, when ``trace_enabled``, the
+    bottom-up proof trace.
     """
     return SolveSession(program, goal, config)
 

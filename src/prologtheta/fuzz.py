@@ -19,7 +19,7 @@ from .terms import Compound
 from .loader import Program, load
 from .parser import parse_query
 from .syntax import QueryPolicy, desugar_query_vars, iter_atoms, silent_twin
-from .engine import SolveConfig, solve
+from .engine import SolveConfig, format_theta, solve
 from .oracle import OracleOverflow, herbrand_universe, oracle_solve
 
 _CONSTS = ["a", "b", "c", "d"]
@@ -191,13 +191,8 @@ def differential_check(
 
 
 def _describe_mismatch(engine_answers: frozenset, oracle_answers: frozenset) -> str:
-    from .parser import format_term
-
     def show(answers) -> str:
-        rows = sorted(
-            "[" + ", ".join(f"<{n}, {format_term(t)}>" for n, t in ans) + "]"
-            for ans in answers
-        )
+        rows = sorted("[" + ", ".join(map(format_theta, ans)) + "]" for ans in answers)
         return "{" + ", ".join(rows) + "}"
 
     missing = oracle_answers - engine_answers

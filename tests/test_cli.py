@@ -234,6 +234,63 @@ def test_repl_more_without_query():
     assert "no active query." in out
 
 
+def test_repl_failed_load_keeps_the_program_and_queries_do_not_combine(
+    tmp_path, monkeypatch
+):
+    import prologtheta.cli as cli
+
+    modules = {"a": "p(a).\np(b).\n", "c": "r(c).\n", "b": "p(a, b).\nq(c).\n"}
+    for name, text in modules.items():
+        (tmp_path / f"{name}.plt").write_text(text, encoding="utf-8")
+    calls = []
+    combine = cli.combine
+    monkeypatch.setattr(cli, "combine", lambda *a, **k: calls.append(a) or combine(*a, **k))
+    script = (
+        f":set max_solutions all\np(X).\n:load {tmp_path / 'b.plt'}\n:more\n"
+        "p(X).\nr(Y).\n:quit\n"
+    )
+    code, out = _repl(script, modules=[str(tmp_path / "a.plt"), str(tmp_path / "c.plt")])
+    assert code == 0
+    # the failed load left the running query and the program as they were
+    assert out.split("?- ")[2:7] == [
+        "X = a\n",
+        "error: 0:0: in module b: predicate p used with arity 2 after arity 1\n",
+        "X = b\n",
+        "X = a\n",
+        "Y = c\n",
+    ]
+    # once at start-up and once for the :load; never per query
+    assert len(calls) == 2
+    # conflicting modules at start-up are an error, as in run
+    code, out = _repl(":quit\n", modules=[str(tmp_path / "a.plt"), str(tmp_path / "b.plt")])
+    assert code == 2
+    assert out.startswith("error: 0:0: in module b: predicate p used with arity 2")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--query", "phone(tom, _, Y)", "--max-solutions", "0"],
+    ["run", "--query", "phone(tom, _, Y)", "--max-solutions", "-3"],
+    ["repl", "--max-solutions", "0"],
+])
+def test_max_solutions_below_one_is_an_error(argv, phone_path, capsys):
+    code = main([*argv, "--module", phone_path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: max_solutions must be at least 1")
+
+
+def test_repl_rejects_max_solutions_below_one_and_keeps_the_setting(tmp_path):
+    mod = tmp_path / "m.plt"
+    mod.write_text("p(a).\np(b).\np(c).\n", encoding="utf-8")
+    script = ":set max_solutions 2\n:set max_solutions 0\np(X).\n:more\n:more\n:quit\n"
+    code, out = _repl(script, modules=[str(mod)])
+    assert code == 0
+    assert "error: max_solutions must be at least 1, not 0" in out
+    assert "X = a" in out and "X = b" in out and "X = c" not in out
+    assert "no more solutions." in out
+
+
 def _run_cli(args, cwd, env):
     return subprocess.run(
         [sys.executable, "-m", "prologtheta.cli", *args],

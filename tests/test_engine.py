@@ -10,8 +10,8 @@ from prologtheta.parser import format_goal, format_term, parse_query
 from prologtheta.loader import load
 from prologtheta.engine import (
     EngineError,
+    ProofSearch,
     SolveConfig,
-    collect_answer,
     format_proof,
     solve,
     validate_trace,
@@ -66,7 +66,6 @@ def test_phone_example_all_silent_records_nothing():
     sols = list(session)
     assert len(sols) == 1
     assert sols[0].answer == ()
-    assert sols[0].final_subst is not None
 
 
 def test_anonymous_variable_query_matches_rewritten_form():
@@ -247,17 +246,13 @@ def test_clipped_search_can_still_find_solutions():
 # Answer assembly and display.
 
 
-def test_collect_answer_orders_by_step_and_rejects_nonground():
+def test_answer_lists_witnesses_in_step_order():
     prog, goal, session = ask(
         "p(a).\nq(b).", "some* X : p(X), some* Y : q(Y)"
     )
     sol = next(iter(session))
-    assert collect_answer(sol.trace, sol.final_subst, "strict") == list(sol.answer)
     # inner binder's step comes first in the step order
     assert [n for n, _ in sol.answer] == ["Y", "X"]
-
-    lenient_only = [s for s in sol.trace.steps]  # trace is already resolved
-    assert collect_answer(sol.trace, sol.final_subst, "lenient") == list(sol.answer)
 
 
 def test_repeated_noisy_names_are_disambiguated_in_display():
@@ -268,23 +263,48 @@ def test_repeated_noisy_names_are_disambiguated_in_display():
     assert "answer: {X = b, X#2 = a}" in text
 
 
-def test_answer_matches_nonnil_theta_steps():
+def test_answer_matches_nonnil_theta_steps(monkeypatch):
     from prologtheta.fuzz import random_case
+
+    def all_solutions(case, **settings):
+        # the same fresh-variable ids on every run, so answers compare equal
+        reset_fresh_counters()
+        prog = load(case.program_text, name="fuzz")
+        goal = desugar_query_vars(parse_query(case.query_text))
+        config = SolveConfig(max_solutions=None, max_depth=64, **settings)
+        return prog, goal, list(solve(prog, goal, config))
+
+    def untraced_never_snapshots(self):
+        raise AssertionError("snapshot called with the trace disabled")
 
     rng = random.Random(13)
     checked = 0
     for _ in range(60):
         case = random_case(rng)
-        prog = load(case.program_text, name="fuzz")
-        goal = desugar_query_vars(parse_query(case.query_text))
-        sol = solve(prog, goal, SolveConfig(max_depth=64)).next_solution()
-        if sol is None:
-            continue
-        checked += 1
-        recorded = [s.theta for s in sol.trace.steps if s.theta is not None]
-        assert list(sol.answer) == recorded
-        assert validate_trace(prog, goal, sol.trace) == []
-    assert checked > 10
+        for mode in ("strict", "lenient"):
+            for occurs_check in (True, False):
+                settings = dict(groundness_mode=mode, occurs_check=occurs_check)
+                prog, goal, sols = all_solutions(case, **settings)
+                for sol in sols:
+                    checked += 1
+                    recorded = [s.theta for s in sol.trace.steps if s.theta is not None]
+                    assert list(sol.answer) == recorded
+                    assert validate_trace(prog, goal, sol.trace) == []
+                with monkeypatch.context() as m:
+                    m.setattr(ProofSearch, "snapshot", untraced_never_snapshots)
+                    _, _, untraced = all_solutions(case, trace_enabled=False, **settings)
+                assert [sol.answer for sol in untraced] == [sol.answer for sol in sols]
+                assert all(sol.trace is None for sol in untraced)
+    assert checked > 100
+
+
+def test_cyclic_witness_answer_matches_its_recorded_binding():
+    config = SolveConfig(groundness_mode="lenient", occurs_check=False)
+    _, _, session = ask("all X : loop(X, f(X)).", "some* Y : loop(Y, Y)", config)
+    sol = session.next_solution()
+    (theta,) = [s.theta for s in sol.trace.steps if s.theta is not None]
+    assert format_term(theta[1]) == "f(Y)"
+    assert sol.answer == (theta,)
 
 
 def test_empty_conjunction_free_single_fact_proof_has_two_lines():
