@@ -344,6 +344,14 @@ def run_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         universe_depth=args.universe_depth,
         occurs_check=args.occurs_check == "on",
     )
+    try:
+        SolveConfig(max_depth=kwargs["max_depth"])  # the engine's own check, up front
+        for flag, value in (("--fuzz", args.fuzz), ("--universe-depth", args.universe_depth)):
+            if value < 0:
+                raise ValueError(f"{flag} must be at least 0, not {value}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=err)
+        return 2
     if args.fuzz:
         total = args.fuzz
         for i, case, report in fuzz_run(total, args.seed, **kwargs):

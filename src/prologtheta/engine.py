@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from .terms import Term, fresh_var, is_ground, resolve_term, unify_into
+from .terms import Term, Var, fresh_var, is_ground, resolve_term, unify_into, walk_shallow
 from .syntax import (
     Atom,
     Clause,
@@ -38,7 +38,7 @@ from .syntax import (
     subst_term,
     wellformed,
 )
-from .loader import Program
+from .loader import Program, first_arg_key
 from .parser import format_atom, format_clause, format_goal, format_term
 
 
@@ -58,6 +58,9 @@ class SolveConfig:
         # a search checks the count only after a solution, so 0 would give one
         if self.max_solutions is not None and self.max_solutions < 1:
             raise ValueError(f"max_solutions must be at least 1, not {self.max_solutions}")
+        # the query itself sits at depth 1, so a lower limit cuts every search
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError(f"max_depth must be at least 1, not {self.max_depth}")
 
 
 Theta = tuple[str, Term]
@@ -138,6 +141,25 @@ class ProofSearch:
             return True
         return False
 
+    def candidates(self, goal: Atom) -> Sequence[tuple[Clause, int]]:
+        """The ``(clause, reach)`` entries of the clauses that may match
+        ``goal``, in textual order.
+
+        They come from the program's index, by the goal's first argument
+        under the current bindings: every clause of the predicate when
+        that argument is unbound, else those whose first argument is a
+        variable or has the same key (see ``loader.first_arg_key``).
+        """
+        table = self.program.index.get(goal.pred)
+        if table is None:
+            return ()
+        if not goal.args:
+            return table.every
+        first = walk_shallow(goal.args[0], self.bindings)
+        if isinstance(first, Var):
+            return table.every
+        return table.by_key.get(first_arg_key(first), table.wild)
+
     def _unify_atoms(self, a: Atom, b: Atom) -> bool:
         if a.pred != b.pred or len(a.args) != len(b.args):
             return False
@@ -151,18 +173,28 @@ class ProofSearch:
     def reduce_goal(self, goal: Goal, depth: int) -> Iterator[None]:
         """Yield once per derivation of ``goal``; bindings live across yields.
 
-        Atoms switch to backchaining over the whole program; conjunctions
-        prove left then right; existentials allocate a fresh variable for
-        the bound one and, when noisy, record its final value.
+        Atoms switch to backchaining over the clauses that can match them;
+        conjunctions prove left then right; existentials allocate a fresh
+        variable for the bound one and, when noisy, record its final value.
         """
         if self._too_deep(depth):
             return
         if isinstance(goal, Atom):
-            for clause in self.program.clauses:  # ordered clause trial
+            # The depth limit is reported as if every program clause were
+            # tried in turn, since trying a clause reaches ``depth + reach``
+            # before its head can mismatch.  An entry's reach covers the
+            # clauses skipped up to it; the program's reach covers those
+            # skipped after the last candidate.
+            limit = self.config.max_depth
+            for clause, reach in self.candidates(goal):  # ordered clause trial
+                if limit is not None and depth + reach > limit:
+                    self.depth_clipped = True
                 for _ in self.backchain(clause, goal, depth + 1):
                     self._emit("pv", self.program, goal, None)
                     yield
                     self._retract()
+            if limit is not None and depth + self.program.reach > limit:
+                self.depth_clipped = True
         elif isinstance(goal, Conj):
             for _ in self.reduce_goal(goal.left, depth + 1):
                 for _ in self.reduce_goal(goal.right, depth + 1):

@@ -9,12 +9,12 @@ the result is checked for well-formedness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
-from .terms import Compound, Star, Term, Unknown, Var, fresh_unknown
-from .syntax import Clause, binder_names, desugar_clause_vars, map_terms, wellformed
+from .terms import Compound, Const, Star, Term, Unknown, Var, fresh_unknown
+from .syntax import Clause, Forall, binder_names, desugar_clause_vars, map_terms, wellformed
 from .parser import ParseError, ParseIssue, SourceModule, parse_module
 
 
@@ -26,18 +26,91 @@ class LoadError(Exception):
         super().__init__("; ".join(str(i) for i in self.issues))
 
 
+def first_arg_key(term: Term):
+    """The index key of a clause head's or a goal's first argument.
+
+    A constant keys by its name, an Unknown by its id (tagged, so that it
+    cannot equal a constant's name or a functor key), a compound term by
+    its functor and arity; a variable has no key (None) and matches all.
+    """
+    if isinstance(term, Const):
+        return term.name
+    if isinstance(term, Unknown):
+        return (Unknown, term.id)
+    if isinstance(term, Compound):
+        return (term.functor, len(term.args))
+    return None
+
+
+class PredicateIndex(NamedTuple):
+    """One predicate's clauses, each entry a ``(clause, reach)`` pair.
+
+    ``every`` holds all of them, ``by_key`` each first-argument key's
+    clauses with the variable-headed ones merged in, and ``wild`` the
+    variable-headed ones alone; each list keeps textual order, and none
+    changes once the program is built.
+    """
+
+    every: list
+    by_key: dict
+    wild: list
+
+
+def _index_clauses(clauses: tuple[Clause, ...]) -> tuple[dict, int]:
+    """Per-predicate first-argument index, and the whole program's reach.
+
+    A clause's reach is 1 + its number of leading universals: how far past
+    the calling goal's depth trying it goes before its head is unified.
+    An entry carries the largest reach of all clauses up to and including
+    its own, so a search that skips the clauses between two candidates can
+    still report whether trying them would have hit the depth limit.
+    """
+    index: dict[str, PredicateIndex] = {}
+    reach = 0
+    for clause in clauses:
+        inner, layers = clause, 0
+        while isinstance(inner, Forall):
+            inner, layers = inner.inner, layers + 1
+        reach = max(reach, 1 + layers)
+        entry = (clause, reach)
+        head = inner.head
+        table = index.get(head.pred)
+        if table is None:
+            table = index[head.pred] = PredicateIndex([], {}, [])
+        table.every.append(entry)
+        key = first_arg_key(head.args[0]) if head.args else None
+        if key is None:
+            table.wild.append(entry)
+            for entries in table.by_key.values():
+                entries.append(entry)
+        elif key in table.by_key:
+            table.by_key[key].append(entry)
+        else:
+            table.by_key[key] = [*table.wild, entry]
+    return index, reach
+
+
 @dataclass(frozen=True)
 class Program:
     """An immutable, closed program: safe to share between sessions.
 
     ``arity_table`` maps each predicate to its arity at first use, as the
-    well-formedness check built it; readers must not extend it.
+    well-formedness check built it; readers must not extend it.  ``index``
+    (a ``PredicateIndex`` per predicate) and ``reach`` (the largest clause
+    reach, 0 for no clauses) are derived from ``clauses`` on construction.
     """
 
     name: str
     clauses: tuple[Clause, ...]
     unknown_table: dict
     arity_table: dict
+    index: dict = field(init=False, compare=False, repr=False)
+    reach: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        index, reach = _index_clauses(self.clauses)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "reach", reach)
 
     def arities(self) -> dict:
         """A copy of the arity table, free for a caller to extend."""

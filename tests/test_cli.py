@@ -188,9 +188,9 @@ def test_run_is_the_default_subcommand(phone_path, capsys):
     assert first == second
 
 
-def _repl(script, modules=()):
+def _repl(script, modules=(), options=()):
     args = build_arg_parser().parse_args(
-        ["repl"] + [arg for m in modules for arg in ("--module", m)]
+        ["repl", *options] + [arg for m in modules for arg in ("--module", m)]
     )
     out = io.StringIO()
     code = run_repl(args, io.StringIO(script), out, out)
@@ -278,6 +278,71 @@ def test_max_solutions_below_one_is_an_error(argv, phone_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: max_solutions must be at least 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--query", "phone(tom, _, Y)", "--max-depth", "0"],
+    ["run", "--query", "phone(tom, _, Y)", "--max-depth", "-3"],
+    ["repl", "--max-depth", "0"],
+    ["check", "--query", "phone(tom, _, Y)", "--max-depth", "0"],
+    ["check", "--fuzz", "5", "--max-depth", "-1"],
+])
+def test_max_depth_below_one_is_an_error(argv, phone_path, capsys):
+    code = main([*argv, "--module", phone_path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: max_depth must be at least 1")
+
+
+def test_repl_rejects_max_depth_below_one_and_keeps_the_setting(phone_path):
+    # the phone atom sits at depth 3, so the fact is out of reach at 3
+    script = ":set max_depth 3\n:set max_depth -4\nphone(tom, _, Y).\n:quit\n"
+    code, out = _repl(script, modules=[phone_path])
+    assert code == 0
+    assert out.split("?- ")[2:4] == [
+        "error: max_depth must be at least 1, not -4\n", "incomplete search.\n",
+    ]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "--fuzz", "-5", "--seed", "1"], "--fuzz"),
+    (["check", "--query", "some* X : p(X)", "--universe-depth", "-1"], "--universe-depth"),
+])
+def test_check_rejects_negative_counts(argv, flag, tmp_path, capsys):
+    mod = tmp_path / "m.plt"
+    mod.write_text("p(f(a)).\n", encoding="utf-8")
+    code = main([*argv, "--module", str(mod)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be at least 0")
+
+
+# p(b) matches no clause, but trying the q clause would pass depth 4
+DEEP_Q = "p(a).\nall X : all Y : all Z : q(X, Y, Z).\n"
+
+
+@pytest.mark.parametrize("depth, code, line", [
+    ("2", 3, "incomplete search."),
+    ("5", 1, "no."),
+])
+def test_depth_limit_counts_the_clauses_an_atom_skips(depth, code, line, tmp_path, capsys):
+    mod = tmp_path / "m.plt"
+    mod.write_text(DEEP_Q, encoding="utf-8")
+    assert main(["--module", str(mod), "--query", "p(b)", "--max-depth", depth]) == code
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
+def test_repl_more_reports_the_depth_limit_of_the_clauses_before_it(tmp_path):
+    mod = tmp_path / "m.plt"
+    mod.write_text(DEEP_Q + "p(b).\n", encoding="utf-8")
+    script = "p(X).\n:more\np(b).\n:more\n:quit\n"
+    code, out = _repl(script, modules=[str(mod)], options=["--max-depth", "4"])
+    assert code == 0
+    assert out.split("?- ")[1:5] == [
+        "X = a\n", "no more solutions.\n", "yes.\n", "incomplete search.\n",
+    ]
 
 
 def test_repl_rejects_max_solutions_below_one_and_keeps_the_setting(tmp_path):

@@ -243,6 +243,83 @@ def test_clipped_search_can_still_find_solutions():
 
 
 # ---------------------------------------------------------------------------
+# Clause indexing.
+
+INDEXED_MODULES = [
+    # a constant next to a compound of the same name
+    ("k(f).\nk(f(a)).\nk(g(b)).\nk(f(c)).\n", ["k(f)", "k(f(X))", "k(X)", "k(h)", "k(g(b))"]),
+    # an Unknown key reached through a bound variable
+    ("unknown K.\nr(K).\np(K, one).\np(a, two).\n", ["r(X), p(X, Y)", "p(a, Y)", "p(X, Y)"]),
+    # integer literals
+    ("n(1, a).\nn(2, b).\nn(10, c).\nn(1, d).\n", ["n(1, X)", "n(10, X)", "n(3, X)", "n(X, Y)"]),
+    # naive reverse: nil and cons heads, called with bound and unbound lists
+    ("app(nil, L, L).\napp(cons(H, T), L, cons(H, R)) :- app(T, L, R).\n"
+     "nrev(nil, nil).\nnrev(cons(H, T), R) :- nrev(T, RT), app(RT, cons(H, nil), R).\n",
+     ["nrev(cons(a, cons(b, cons(c, nil))), R)", "app(X, Y, cons(a, cons(b, nil)))",
+      "app(cons(a, nil), X, Y)"]),
+    # a zero-arity predicate
+    ("y.\nz :- y.\nz.\nw(a) :- z.\n", ["z", "w(X)"]),
+    # variable heads, one noisy, interleaved with keyed ones
+    ("q(a, 1).\nall X : q(X, 2).\nq(b, 3).\nq(a, 4).\nall* Y : q(Y, 5).\n",
+     ["q(a, N)", "q(b, N)", "q(c, N)", "q(X, N)"]),
+    # a clause of another predicate reaches past the depth limit
+    ("p(a).\nall X : all Y : all Z : q(X, Y, Z).\np(b).\n", ["p(X)", "p(b)", "p(c)"]),
+]
+
+
+def every_clause(search, goal):
+    """The unindexed scan: every program clause in order, with its reach."""
+    entries, reach = [], 0
+    for clause in search.program.clauses:
+        inner, layers = clause, 0
+        while isinstance(inner, Forall):
+            inner, layers = inner.inner, layers + 1
+        reach = max(reach, 1 + layers)
+        entries.append((clause, reach))
+    assert search.program.reach == reach
+    return entries
+
+
+def test_indexed_search_matches_the_scan_of_every_clause(monkeypatch):
+    from prologtheta.cli import solution_json
+    from prologtheta.fuzz import random_case
+
+    def outcomes(prog, goal, config):
+        session = solve(prog, goal, config)
+        seen = [
+            (solution_json(sol, "success"), format_proof(sol.trace, sol.answer),
+             session.incomplete)
+            for sol in session
+        ]
+        return seen, session.incomplete
+
+    rng = random.Random(5)
+    cases = [(c.program_text, [c.query_text]) for c in (random_case(rng) for _ in range(40))]
+    sessions = incomplete = 0
+    for text, queries in cases + INDEXED_MODULES:
+        prog = load(text, name="m")
+        for query in queries:
+            goal = desugar_query_vars(parse_query(query))
+            for mode in ("strict", "lenient"):
+                for occurs_check in (True, False):
+                    for max_depth in (None, 3, 5, 8):
+                        for max_solutions in (None, 1, 2):
+                            config = SolveConfig(mode, max_depth, max_solutions, occurs_check)
+                            indexed = outcomes(prog, goal, config)
+                            with monkeypatch.context() as m:
+                                m.setattr(ProofSearch, "candidates", every_clause)
+                                assert outcomes(prog, goal, config) == indexed
+                            sessions += 1
+                            incomplete += indexed[1]
+    assert incomplete > sessions // 10
+
+
+def test_indexing_keeps_textual_order_across_variable_heads():
+    _, _, session = ask("q(a, 1).\nall X : q(X, 2).\nq(b, 3).\nq(a, 4).\n", "q(a, N)")
+    assert answers(session) == [[("N", "1")], [("N", "2")], [("N", "4")]]
+
+
+# ---------------------------------------------------------------------------
 # Answer assembly and display.
 
 
