@@ -11,18 +11,14 @@ the engine for differential testing.
 from .terms import (
     Compound,
     Const,
-    Substitution,
     Term,
     Unknown,
     Var,
-    apply,
-    compose,
     compound,
     fresh_unknown,
     fresh_var,
     is_ground,
     reset_fresh_counters,
-    unify,
 )
 from .syntax import (
     Atom,
@@ -32,7 +28,6 @@ from .syntax import (
     Fact,
     Forall,
     Goal,
-    QueryPolicy,
     atom,
     desugar_clause_vars,
     desugar_query_vars,
@@ -62,7 +57,6 @@ from .engine import (
     SolveSession,
     format_proof,
     solve,
-    validate_trace,
 )
 from .oracle import OracleOverflow, Universe, herbrand_universe, oracle_solve
 

@@ -175,13 +175,13 @@ class SessionState:
         return solve(self.program, goal, self.config)
 
 
-def _config_from_args(args: argparse.Namespace) -> SolveConfig:
+def _config_from_args(args: argparse.Namespace, trace_enabled: bool) -> SolveConfig:
     return SolveConfig(
         groundness_mode=args.groundness,
         max_depth=args.max_depth,
         max_solutions=None if args.all else args.max_solutions,
         occurs_check=args.occurs_check == "on",
-        trace_enabled=True,
+        trace_enabled=trace_enabled,
     )
 
 
@@ -195,8 +195,11 @@ def _load_modules(paths) -> list[Program]:
 
 def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     printer = _Printer(out)
+    as_json = args.format == "json"
     try:
-        state = SessionState(_load_modules(args.module), _config_from_args(args))
+        # only --trace and JSON print a trace, so only they build one
+        config = _config_from_args(args, trace_enabled=args.trace or as_json)
+        state = SessionState(_load_modules(args.module), config)
         if not args.query:
             print("error: run needs --query", file=err)
             return 2
@@ -205,28 +208,24 @@ def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         print(f"error: {exc}", file=err)
         return 2
 
-    solutions = list(session)
-    if args.format == "json":
-        if not solutions:
-            status = "incomplete" if session.incomplete else "fail"
-            print(json.dumps(solution_json(None, status)), file=out)
-        else:
-            for sol in solutions:
-                print(json.dumps(solution_json(sol, "success")), file=out)
-        return 0 if solutions else (3 if session.incomplete else 1)
-
-    for sol in solutions:
+    found = False
+    for sol in session:  # print each solution as the search finds it
+        found = True
+        if as_json:
+            print(json.dumps(solution_json(sol, "success")), file=out)
+            continue
         for line in _solution_lines(sol):
             printer.bold(line)
         if args.trace:
             printer.plain(format_proof(sol.trace, sol.answer))
-    if not solutions:
-        if session.incomplete:
-            printer.plain("incomplete search.")
-            return 3
-        printer.plain("no.")
-        return 1
-    return 0
+    if found:
+        return 0
+    if as_json:
+        status = "incomplete" if session.incomplete else "fail"
+        print(json.dumps(solution_json(None, status)), file=out)
+    else:
+        printer.plain("incomplete search." if session.incomplete else "no.")
+    return 3 if session.incomplete else 1
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,8 @@ anything else is a query (trailing '.' optional)."""
 def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) -> int:
     printer = _Printer(out)
     try:
-        state = SessionState(_load_modules(args.module), _config_from_args(args))
+        # always traced: ``:trace on`` may come between a query and its ``:more``
+        state = SessionState(_load_modules(args.module), _config_from_args(args, True))
     except (ParseError, LoadError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2

@@ -99,10 +99,6 @@ class Solution:
     answer: tuple[Theta, ...]
     trace: Optional[ProofTrace]
 
-    @property
-    def has_residual_vars(self) -> bool:
-        return any(not is_ground(t) for _, t in self.answer)
-
 
 class ProofSearch:
     """One in-progress search: owns its bindings, trail, and step list.
@@ -121,18 +117,9 @@ class ProofSearch:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _mark(self) -> int:
-        return len(self.trail)
-
     def _undo(self, mark: int) -> None:
         while len(self.trail) > mark:
             del self.bindings[self.trail.pop()]
-
-    def _emit(self, kind: str, focus, goal, theta) -> None:
-        self.steps.append((kind, focus, goal, theta))
-
-    def _retract(self) -> None:
-        self.steps.pop()
 
     def _too_deep(self, depth: int) -> bool:
         limit = self.config.max_depth
@@ -158,7 +145,7 @@ class ProofSearch:
         first = walk_shallow(goal.args[0], self.bindings)
         if isinstance(first, Var):
             return table.every
-        return table.by_key.get(first_arg_key(first), table.wild)
+        return table.lookup(first_arg_key(first))
 
     def _unify_atoms(self, a: Atom, b: Atom) -> bool:
         if a.pred != b.pred or len(a.args) != len(b.args):
@@ -190,25 +177,25 @@ class ProofSearch:
                 if limit is not None and depth + reach > limit:
                     self.depth_clipped = True
                 for _ in self.backchain(clause, goal, depth + 1):
-                    self._emit("pv", self.program, goal, None)
+                    self.steps.append(("pv", self.program, goal, None))
                     yield
-                    self._retract()
+                    self.steps.pop()
             if limit is not None and depth + self.program.reach > limit:
                 self.depth_clipped = True
         elif isinstance(goal, Conj):
             for _ in self.reduce_goal(goal.left, depth + 1):
                 for _ in self.reduce_goal(goal.right, depth + 1):
-                    self._emit("pv", self.program, goal, None)
+                    self.steps.append(("pv", self.program, goal, None))
                     yield
-                    self._retract()
+                    self.steps.pop()
         elif isinstance(goal, Exists):
             witness = fresh_var(goal.var.name)
             body = map_terms(goal.body, partial(subst_term, {goal.var.id: witness}))
             for _ in self.reduce_goal(body, depth + 1):
                 theta = (goal.var.name, witness) if goal.noisy else None
-                self._emit("pv", self.program, goal, theta)
+                self.steps.append(("pv", self.program, goal, theta))
                 yield
-                self._retract()
+                self.steps.pop()
         else:
             raise EngineError(f"not a goal node: {goal!r}")
 
@@ -225,28 +212,28 @@ class ProofSearch:
         if self._too_deep(depth):
             return
         if isinstance(clause, Fact):
-            mark = self._mark()
+            mark = len(self.trail)
             if self._unify_atoms(clause.head, goal_atom):
-                self._emit("bc", clause, goal_atom, None)
+                self.steps.append(("bc", clause, goal_atom, None))
                 yield
-                self._retract()
+                self.steps.pop()
             self._undo(mark)
         elif isinstance(clause, Rule):
-            mark = self._mark()
+            mark = len(self.trail)
             if self._unify_atoms(clause.head, goal_atom):
                 for _ in self.reduce_goal(clause.body, depth + 1):
-                    self._emit("bc", clause, goal_atom, None)
+                    self.steps.append(("bc", clause, goal_atom, None))
                     yield
-                    self._retract()
+                    self.steps.pop()
             self._undo(mark)
         elif isinstance(clause, Forall):
             witness = fresh_var(clause.var.name)
             inner = map_terms(clause.inner, partial(subst_term, {clause.var.id: witness}))
             for _ in self.backchain(inner, goal_atom, depth + 1):
                 theta = (clause.var.name, witness) if clause.noisy else None
-                self._emit("bc", clause, goal_atom, theta)
+                self.steps.append(("bc", clause, goal_atom, theta))
                 yield
-                self._retract()
+                self.steps.pop()
         else:
             raise EngineError(f"not a clause node: {clause!r}")
 
@@ -410,34 +397,3 @@ def format_proof(trace: ProofTrace, answer) -> str:
     )
     lines.append(f"answer: {{{pairs}}}")
     return "\n".join(lines)
-
-
-def validate_trace(program: Program, goal: Goal, trace: ProofTrace) -> list[str]:
-    """Structural replay checks used by the test suite."""
-    problems = []
-    if not trace.steps:
-        return ["empty trace"]
-    root = trace.steps[-1]
-    if root.kind != "pv":
-        problems.append("root step is not a goal-reduction step")
-    if not (isinstance(root.focus, Program) and root.focus is program):
-        problems.append("root step does not carry the program")
-    if root.goal != goal:
-        problems.append("root step does not carry the original goal")
-    for i, step in enumerate(trace.steps, 1):
-        if step.index != i:
-            problems.append(f"step {i} has index {step.index}")
-        noisy_site = (
-            step.kind == "pv"
-            and isinstance(step.goal, Exists)
-            and step.goal.noisy
-        ) or (
-            step.kind == "bc"
-            and isinstance(step.focus, Forall)
-            and step.focus.noisy
-        )
-        if noisy_site and step.theta is None:
-            problems.append(f"step {i} should record a binding")
-        if not noisy_site and step.theta is not None:
-            problems.append(f"step {i} records a binding it should not")
-    return problems

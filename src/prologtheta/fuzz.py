@@ -18,7 +18,7 @@ from typing import Optional
 from .terms import Compound
 from .loader import Program, load
 from .parser import parse_query
-from .syntax import QueryPolicy, desugar_query_vars, iter_atoms, silent_twin
+from .syntax import desugar_query_vars, iter_atoms, silent_twin
 from .engine import SolveConfig, format_theta, solve
 from .oracle import OracleOverflow, herbrand_universe, oracle_solve
 
@@ -217,7 +217,7 @@ def has_compound_terms(program: Program, goal) -> bool:
 
 def check_case(case: FuzzCase, **kwargs) -> CheckReport:
     program = load(case.program_text, name="fuzz")
-    goal = desugar_query_vars(parse_query(case.query_text), QueryPolicy())
+    goal = desugar_query_vars(parse_query(case.query_text))
     return differential_check(program, goal, **kwargs)
 
 
@@ -240,7 +240,7 @@ def erasure_outcomes(
     both runs walk the same search tree.
     """
     program = load(case.program_text, name="fuzz")
-    goal = desugar_query_vars(parse_query(case.query_text), QueryPolicy())
+    goal = desugar_query_vars(parse_query(case.query_text))
     twin_program = Program(
         name=program.name,
         clauses=tuple(silent_twin(c) for c in program.clauses),

@@ -43,17 +43,27 @@ def first_arg_key(term: Term):
 
 
 class PredicateIndex(NamedTuple):
-    """One predicate's clauses, each entry a ``(clause, reach)`` pair.
-
-    ``every`` holds all of them, ``by_key`` each first-argument key's
-    clauses with the variable-headed ones merged in, and ``wild`` the
-    variable-headed ones alone; each list keeps textual order, and none
-    changes once the program is built.
+    """One predicate's clauses: ``every`` holds a ``(clause, reach)`` entry
+    per clause in textual order, and ``by_key`` (each first-argument key's
+    clauses) and ``wild`` (the variable-headed ones) hold ascending
+    positions into it.  None of them changes once the program is built.
     """
 
     every: list
     by_key: dict
     wild: list
+
+    def lookup(self, key) -> list:
+        """The entries of the clauses whose first argument has ``key`` or
+        is a variable, in textual order."""
+        own = self.by_key.get(key)
+        if own is None:
+            positions = self.wild
+        elif self.wild:
+            positions = sorted(own + self.wild)
+        else:
+            positions = own
+        return [self.every[i] for i in positions]
 
 
 def _index_clauses(clauses: tuple[Clause, ...]) -> tuple[dict, int]:
@@ -72,21 +82,14 @@ def _index_clauses(clauses: tuple[Clause, ...]) -> tuple[dict, int]:
         while isinstance(inner, Forall):
             inner, layers = inner.inner, layers + 1
         reach = max(reach, 1 + layers)
-        entry = (clause, reach)
         head = inner.head
         table = index.get(head.pred)
         if table is None:
             table = index[head.pred] = PredicateIndex([], {}, [])
-        table.every.append(entry)
         key = first_arg_key(head.args[0]) if head.args else None
-        if key is None:
-            table.wild.append(entry)
-            for entries in table.by_key.values():
-                entries.append(entry)
-        elif key in table.by_key:
-            table.by_key[key].append(entry)
-        else:
-            table.by_key[key] = [*table.wild, entry]
+        positions = table.wild if key is None else table.by_key.setdefault(key, [])
+        positions.append(len(table.every))
+        table.every.append((clause, reach))
     return index, reach
 
 
@@ -165,10 +168,8 @@ def skolemize(module: SourceModule) -> Program:
     )
 
 
-def load(source: Union[str, Path], *, name: Optional[str] = None) -> Program:
-    """Parse and Skolemize program text (or a Path to a ``.plt`` file)."""
-    if isinstance(source, Path):
-        return load_path(source)
+def load(source: str, *, name: Optional[str] = None) -> Program:
+    """Parse and Skolemize program text."""
     try:
         module = parse_module(source, default_name=name or "main")
     except ParseError as err:

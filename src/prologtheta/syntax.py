@@ -68,13 +68,6 @@ class Forall:
 Clause = Union[Fact, Rule, Forall]
 
 
-@dataclass(frozen=True)
-class QueryPolicy:
-    """How free query variables are closed; fixed for a session."""
-
-    default_free_var: str = "noisy-existential"  # or "silent-existential"
-
-
 def atom(pred: str, *args: Term) -> Atom:
     return Atom(pred, tuple(args))
 
@@ -237,18 +230,16 @@ def desugar_clause_vars(raw_clause: Clause) -> Clause:
     return out
 
 
-def desugar_query_vars(raw_goal: Goal, policy: QueryPolicy = QueryPolicy()) -> Goal:
+def desugar_query_vars(raw_goal: Goal) -> Goal:
     """Close a query goal.
 
     ``_`` occurrences become silent existentials; named free variables
-    follow ``policy`` (noisy by default).  Explicit ``some`` / ``some*``
-    binders are preserved.
+    become noisy ones.  Explicit ``some`` / ``some*`` binders are preserved.
     """
     free = _FreeVars()
     out = _desugar(raw_goal, free)
-    noisy_default = policy.default_free_var == "noisy-existential"
     for v in reversed(free.order):
-        out = Exists(v, out, noisy=noisy_default and v.name != "_")
+        out = Exists(v, out, noisy=v.name != "_")
     return out
 
 

@@ -1,11 +1,11 @@
-"""First-order terms, substitutions, and unification.
+"""First-order terms and destructive, trailed unification.
 
 Terms are immutable values; sharing them across threads is safe.  The only
 mutable state in this module is the pair of fresh-id counters, which are
 plain ``itertools.count`` objects and therefore atomic under CPython.
 
-Substitutions are kept in triangular form: a binding's term may itself
-mention bound variables.  ``apply`` resolves through the chains, so the
+Bindings are kept in triangular form: a binding's term may itself mention
+bound variables.  ``resolve_term`` resolves through the chains, so the
 observable behaviour is idempotent even though the stored map is not fully
 resolved.  Triangular form is what makes backtracking cheap: the engine
 undoes bindings by truncating a trail instead of rebuilding maps.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,13 @@ def unify_into(
     t1: Term,
     t2: Term,
     bindings: dict,
-    trail: Optional[list] = None,
+    trail: list,
     occurs_check: bool = True,
 ) -> bool:
     """Destructively unify into ``bindings``; the engine's inner loop.
 
-    New bindings are appended to ``trail`` (when given) so a caller can
-    undo them on backtracking.  On failure ``bindings`` may hold partial
+    New bindings are appended to ``trail`` so a caller can undo them on
+    backtracking.  On failure ``bindings`` may hold partial
     work; callers are expected to roll back to their own trail mark.
     """
     t1 = walk_shallow(t1, bindings)
@@ -161,15 +161,13 @@ def unify_into(
         if occurs_check and _occurs(t1.id, t2, bindings):
             return False
         bindings[t1.id] = t2
-        if trail is not None:
-            trail.append(t1.id)
+        trail.append(t1.id)
         return True
     if isinstance(t2, Var):
         if occurs_check and _occurs(t2.id, t1, bindings):
             return False
         bindings[t2.id] = t1
-        if trail is not None:
-            trail.append(t2.id)
+        trail.append(t2.id)
         return True
     if isinstance(t1, Const) and isinstance(t2, Const):
         return t1.name == t2.name
@@ -183,78 +181,3 @@ def unify_into(
             for a, b in zip(t1.args, t2.args)
         )
     return False
-
-
-class Substitution:
-    """A finite map from variables to terms, stored triangularly.
-
-    Instances behave as immutable values: ``unify`` and ``compose`` return
-    new substitutions.  Equality compares the fully resolved maps, so two
-    substitutions that differ only in chain shape are equal.
-    """
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Optional[Mapping[int, Term]] = None):
-        self._bindings = dict(bindings) if bindings else {}
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __bool__(self) -> bool:
-        return True
-
-    def resolve(self, term: Term) -> Term:
-        return resolve_term(term, self._bindings)
-
-    def resolved_map(self) -> dict:
-        """The idempotent view: every binding deep-resolved."""
-        return {
-            vid: resolve_term(t, self._bindings) for vid, t in self._bindings.items()
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Substitution):
-            return NotImplemented
-        return self.resolved_map() == other.resolved_map()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"_{vid} -> {t!r}" for vid, t in sorted(self._bindings.items()))
-        return f"Substitution({{{inner}}})"
-
-
-def apply(subst: Substitution, term: Term) -> Term:
-    """Replace every bound variable in ``term``; idempotent."""
-    return subst.resolve(term)
-
-
-def unify(
-    t1: Term,
-    t2: Term,
-    subst: Optional[Substitution] = None,
-    *,
-    occurs_check: bool = True,
-) -> Optional[Substitution]:
-    """Most general unifier of ``subst(t1)`` and ``subst(t2)``, or None.
-
-    Failure is a value, not an exception: clashing functors or arities,
-    distinct constants or Unknowns, and occurs-check violations all return
-    None.
-    """
-    bindings = dict(subst._bindings) if subst is not None else {}
-    if unify_into(t1, t2, bindings, None, occurs_check):
-        return Substitution(bindings)
-    return None
-
-
-def compose(first: Substitution, second: Substitution) -> Substitution:
-    """Substitution with apply(compose(s1, s2), t) == apply(s2, apply(s1, t))."""
-    out = {}
-    for vid, t in first._bindings.items():
-        resolved = second.resolve(first.resolve(t))
-        if isinstance(resolved, Var) and resolved.id == vid:
-            continue
-        out[vid] = resolved
-    for vid, t in second._bindings.items():
-        out.setdefault(vid, t)
-    return Substitution(out)

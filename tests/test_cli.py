@@ -8,7 +8,8 @@ import sys
 import jsonschema
 import pytest
 
-from prologtheta.cli import TRACE_SCHEMA, build_arg_parser, main, run_repl
+from prologtheta.cli import TRACE_SCHEMA, build_arg_parser, main, run_batch, run_repl
+from prologtheta.engine import ProofSearch, SolveSession
 
 PHONE = "module phone.\nphone(tom, cs, 4450).\n"
 EMP = (
@@ -121,6 +122,54 @@ def test_json_all_emits_one_document_per_solution(tmp_path, capsys):
     for doc in docs:
         jsonschema.validate(doc, TRACE_SCHEMA)
     assert [d["answers"][0]["term"] for d in docs] == ["a", "b"]
+
+
+def test_run_without_trace_or_json_never_snapshots(tmp_path, capsys, monkeypatch):
+    mod = tmp_path / "m.plt"
+    mod.write_text("e(a, b).\ne(b, c).\np(X, Y) :- e(X, Y).\n"
+                   "p(X, Z) :- e(X, Y), p(Y, Z).\n", encoding="utf-8")
+
+    def never(self):
+        raise AssertionError("snapshot called for a run that prints no trace")
+
+    monkeypatch.setattr(ProofSearch, "snapshot", never)
+    code = main(["--module", str(mod), "--query", "p(X, Y)", "--all"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Y = b", "X = a", "Y = c", "X = b", "Y = c", "X = a",
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_run_prints_each_solution_as_it_is_found(tmp_path, monkeypatch, fmt):
+    mod = tmp_path / "m.plt"
+    mod.write_text("p(a).\np(b).\np(c).\n", encoding="utf-8")
+    produced = []
+    real_iter = SolveSession.__iter__
+
+    def counted(self):
+        for sol in real_iter(self):
+            produced.append(sol)
+            yield sol
+
+    monkeypatch.setattr(SolveSession, "__iter__", counted)
+
+    class Out(io.StringIO):
+        produced_at_first_write = None
+
+        def write(self, text):
+            if self.produced_at_first_write is None:
+                self.produced_at_first_write = len(produced)
+            return super().write(text)
+
+    out = Out()
+    args = build_arg_parser().parse_args(
+        ["run", "--module", str(mod), "--query", "some* X : p(X)", "--all", "--format", fmt]
+    )
+    assert run_batch(args, out, io.StringIO()) == 0
+    assert out.produced_at_first_write == 1
+    assert len(produced) == 3
+    assert len(out.getvalue().splitlines()) == 3
 
 
 def test_lenient_groundness_flag(tmp_path, capsys):

@@ -6,7 +6,6 @@ from prologtheta.syntax import (
     Exists,
     Fact,
     Forall,
-    QueryPolicy,
     Rule,
     atom,
     desugar_clause_vars,
@@ -77,14 +76,6 @@ def test_query_explicit_binders_preserved():
 def test_query_without_free_vars_is_unchanged():
     raw = parse_query("p(a)")
     assert desugar_query_vars(raw) == raw
-
-
-def test_silent_policy_closes_free_vars_silently():
-    g = desugar_query_vars(
-        parse_query("p(X)"), QueryPolicy(default_free_var="silent-existential")
-    )
-    binders, _ = quantifiers(g)
-    assert binders == [("Exists", "X", False)]
 
 
 def test_desugaring_is_idempotent():

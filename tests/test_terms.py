@@ -1,4 +1,4 @@
-"""Unification, substitution application, and their algebraic laws."""
+"""Trailed unification, binding resolution, and their algebraic laws."""
 
 import itertools
 
@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 from prologtheta.terms import (
     Compound,
     Const,
-    Substitution,
     Unknown,
     Var,
-    apply,
-    compose,
     compound,
     fresh_unknown,
     fresh_var,
     is_ground,
-    unify,
+    resolve_term,
+    unify_into,
 )
 
 X = Var("X", 9001)
@@ -28,15 +26,21 @@ tom = Const("tom")
 cs = Const("cs")
 
 
+def unify(t1, t2, *, occurs_check=True):
+    """The bindings that unify ``t1`` with ``t2``, or None when they clash."""
+    bindings = {}
+    return bindings if unify_into(t1, t2, bindings, [], occurs_check) else None
+
+
 def test_unify_binds_single_variable():
     s = unify(X, tom)
     assert s is not None
-    assert apply(s, X) == tom
+    assert resolve_term(X, s) == tom
 
 
 def test_unify_identical_constants_is_empty():
     s = unify(tom, Const("tom"))
-    assert s == Substitution()
+    assert s == {}
     assert len(s) == 0
 
 
@@ -52,14 +56,14 @@ def test_occurs_check_can_be_disabled():
     s = unify(X, compound("f", X), occurs_check=False)
     assert s is not None
     # resolution stays total on the cyclic map: the loop variable remains
-    resolved = apply(s, X)
+    resolved = resolve_term(X, s)
     assert resolved == compound("f", X)
 
 
 def test_distinct_unknowns_do_not_unify():
     k1, k2 = fresh_unknown("emp"), fresh_unknown("emp")
     assert unify(k1, k2) is None
-    assert unify(k1, k1) == Substitution()
+    assert unify(k1, k1) == {}
 
 
 def test_unknown_vs_constant_fails_but_variable_binds():
@@ -67,7 +71,7 @@ def test_unknown_vs_constant_fails_but_variable_binds():
     assert unify(k, tom) is None
     assert unify(k, compound("f", tom)) is None
     s = unify(X, k)
-    assert apply(s, X) == k
+    assert resolve_term(X, s) == k
 
 
 def test_functor_and_arity_clashes_fail():
@@ -77,27 +81,27 @@ def test_functor_and_arity_clashes_fail():
 
 def test_apply_replaces_bound_variables():
     s = unify(X, tom)
-    assert apply(s, compound("phone", X, Y)) == compound("phone", tom, Y)
+    assert resolve_term(compound("phone", X, Y), s) == compound("phone", tom, Y)
 
 
 def test_apply_empty_substitution_is_identity():
     t = compound("phone", tom, cs, Const("4450"))
-    assert apply(Substitution(), t) == t
+    assert resolve_term(t, {}) == t
 
 
 def test_apply_instantiates_the_recorded_witness():
     # the binding used in the worked phone-book example
     s = unify(X, Const("4450"))
-    assert apply(s, compound("phone", tom, cs, X)) == compound(
+    assert resolve_term(compound("phone", tom, cs, X), s) == compound(
         "phone", tom, cs, Const("4450")
     )
 
 
 def test_triangular_chains_resolve_and_stay_idempotent():
-    s = Substitution({X.id: compound("f", Y), Y.id: tom})
-    once = apply(s, X)
+    s = {X.id: compound("f", Y), Y.id: tom}
+    once = resolve_term(X, s)
     assert once == compound("f", tom)
-    assert apply(s, once) == once
+    assert resolve_term(once, s) == once
 
 
 def test_is_ground():
@@ -149,7 +153,7 @@ def _ground_assignments(var_ids):
     universe = [Const("a"), Const("b"), Const("c")]
     ids = sorted(var_ids)
     for picks in itertools.product(universe, repeat=len(ids)):
-        yield Substitution(dict(zip(ids, picks)))
+        yield dict(zip(ids, picks))
 
 
 @given(_terms, _terms)
@@ -159,8 +163,8 @@ def test_unify_symmetry(t1, t2):
     right = unify(t2, t1)
     assert (left is None) == (right is None)
     if left is not None:
-        assert apply(left, t1) == apply(left, t2)
-        assert apply(right, t1) == apply(right, t2)
+        assert resolve_term(t1, left) == resolve_term(t2, left)
+        assert resolve_term(t1, right) == resolve_term(t2, right)
 
 
 @given(_terms, _terms)
@@ -168,59 +172,12 @@ def test_unify_symmetry(t1, t2):
 def test_every_brute_force_unifier_is_an_instance_of_the_mgu(t1, t2):
     mgu = unify(t1, t2)
     for gamma in _ground_assignments(_term_var_ids(t1) | _term_var_ids(t2)):
-        g1, g2 = apply(gamma, t1), apply(gamma, t2)
+        g1, g2 = resolve_term(t1, gamma), resolve_term(t2, gamma)
         if g1 != g2:
             continue
         assert mgu is not None, "brute force found a unifier the mgu missed"
         # the ground unifier must be reachable from the mgu image
-        assert unify(apply(mgu, t1), g1) is not None
-
-
-# compose models refinement: s2 binds variables from the frontier left by
-# s1 (its domain and images never mention s1's domain), the way successive
-# unifier extensions do
-U = Var("U", 9004)
-V = Var("V", 9005)
-W = Var("W", 9006)
-_frontier_terms = st.recursive(
-    st.one_of(_consts, st.sampled_from([U, V, W])),
-    lambda kids: st.builds(
-        lambda f, args: Compound(f, tuple(args)),
-        st.sampled_from(["f", "g"]),
-        st.lists(kids, min_size=1, max_size=2),
-    ),
-    max_leaves=4,
-)
-_mixed_terms = st.recursive(
-    st.one_of(_consts, st.sampled_from([X, Y, Z, U, V, W])),
-    lambda kids: st.builds(
-        lambda f, args: Compound(f, tuple(args)),
-        st.sampled_from(["f", "g"]),
-        st.lists(kids, min_size=1, max_size=2),
-    ),
-    max_leaves=6,
-)
-
-
-def _acyclic(pairs):
-    # triangular by construction: a variable only maps to later variables,
-    # so chains are well founded and the substitution is idempotent
-    return Substitution(
-        {v.id: t for v, t in pairs if all(i > v.id for i in _term_var_ids(t))}
-    )
-
-
-_first_substs = st.builds(_acyclic, st.lists(st.tuples(_vars, _mixed_terms), max_size=3))
-_second_substs = st.builds(
-    _acyclic,
-    st.lists(st.tuples(st.sampled_from([U, V, W]), _frontier_terms), max_size=3),
-)
-
-
-@given(_first_substs, _second_substs, _mixed_terms)
-@settings(max_examples=200, deadline=None)
-def test_apply_compose_coherence(s1, s2, t):
-    assert apply(compose(s1, s2), t) == apply(s2, apply(s1, t))
+        assert unify(resolve_term(t1, mgu), g1) is not None
 
 
 @given(st.integers(1, 50), st.integers(1, 50))
@@ -229,6 +186,6 @@ def test_unknown_opacity(i, j):
     u1, u2 = Unknown(i, "m"), Unknown(j, "m")
     s = unify(u1, u2)
     if i == j:
-        assert s == Substitution()
+        assert s == {}
     else:
         assert s is None
