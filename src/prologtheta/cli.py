@@ -248,8 +248,7 @@ anything else is a query (trailing '.' optional)."""
 def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) -> int:
     printer = _Printer(out)
     try:
-        # always traced: ``:trace on`` may come between a query and its ``:more``
-        state = SessionState(_load_modules(args.module), _config_from_args(args, True))
+        state = SessionState(_load_modules(args.module), _config_from_args(args, False))
     except (ParseError, LoadError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -259,8 +258,8 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
     def emit_solution(sol: Solution) -> None:
         for line in _solution_lines(sol):
             printer.bold(line)
-        if show_trace:
-            printer.plain(format_proof(sol.trace, sol.answer))
+        if show_trace:  # the search is paused at ``sol``, so its steps are sol's
+            printer.plain(format_proof(active.search.snapshot(), sol.answer))
 
     while True:
         out.write("?- ")
@@ -357,7 +356,7 @@ def run_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         for i, case, report in fuzz_run(total, args.seed, **kwargs):
             if report.status == "match":
                 continue
-            print(f"MISMATCH (case {i}/{total}, seed {args.seed})", file=out)
+            print(f"{report.status.upper()} (case {i}/{total}, seed {args.seed})", file=out)
             print(str(case), file=out)
             print(report.detail, file=out)
             return 1 if report.status == "mismatch" else 3
@@ -398,7 +397,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--module", action="append", default=[], metavar="PATH",
                      help="module file to load (repeatable)")
     sub.add_argument("--max-depth", type=int, default=None, dest="max_depth",
-                     help="proof depth limit (default unlimited)")
+                     help="resolution depth limit: nested calls, the query's atoms at 1")
     sub.add_argument("--groundness", choices=("strict", "lenient"), default="strict")
     sub.add_argument("--occurs-check", choices=("on", "off"), default="on",
                      dest="occurs_check")

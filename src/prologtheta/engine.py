@@ -58,7 +58,7 @@ class SolveConfig:
         # a search checks the count only after a solution, so 0 would give one
         if self.max_solutions is not None and self.max_solutions < 1:
             raise ValueError(f"max_solutions must be at least 1, not {self.max_solutions}")
-        # the query itself sits at depth 1, so a lower limit cuts every search
+        # the query's atoms sit at depth 1, so a lower limit cuts every search
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError(f"max_depth must be at least 1, not {self.max_depth}")
 
@@ -121,16 +121,8 @@ class ProofSearch:
         while len(self.trail) > mark:
             del self.bindings[self.trail.pop()]
 
-    def _too_deep(self, depth: int) -> bool:
-        limit = self.config.max_depth
-        if limit is not None and depth > limit:
-            self.depth_clipped = True
-            return True
-        return False
-
-    def candidates(self, goal: Atom) -> Sequence[tuple[Clause, int]]:
-        """The ``(clause, reach)`` entries of the clauses that may match
-        ``goal``, in textual order.
+    def candidates(self, goal: Atom) -> Sequence[Clause]:
+        """The clauses that may match ``goal``, in textual order.
 
         They come from the program's index, by the goal's first argument
         under the current bindings: every clause of the predicate when
@@ -160,38 +152,33 @@ class ProofSearch:
     def reduce_goal(self, goal: Goal, depth: int) -> Iterator[None]:
         """Yield once per derivation of ``goal``; bindings live across yields.
 
-        Atoms switch to backchaining over the clauses that can match them;
-        conjunctions prove left then right; existentials allocate a fresh
-        variable for the bound one and, when noisy, record its final value.
+        ``depth`` is the resolution depth of the atoms in ``goal``: 1 for
+        the query's, one more than the resolved atom's for a rule body's.
+        Atoms switch to backchaining over the clauses that can match them,
+        unless they lie past the depth limit; conjunctions prove left then
+        right; existentials allocate a fresh variable for the bound one
+        and, when noisy, record its final value.
         """
-        if self._too_deep(depth):
-            return
         if isinstance(goal, Atom):
-            # The depth limit is reported as if every program clause were
-            # tried in turn, since trying a clause reaches ``depth + reach``
-            # before its head can mismatch.  An entry's reach covers the
-            # clauses skipped up to it; the program's reach covers those
-            # skipped after the last candidate.
             limit = self.config.max_depth
-            for clause, reach in self.candidates(goal):  # ordered clause trial
-                if limit is not None and depth + reach > limit:
-                    self.depth_clipped = True
-                for _ in self.backchain(clause, goal, depth + 1):
+            if limit is not None and depth > limit:
+                self.depth_clipped = True
+                return
+            for clause in self.candidates(goal):  # ordered clause trial
+                for _ in self.backchain(clause, goal, depth):
                     self.steps.append(("pv", self.program, goal, None))
                     yield
                     self.steps.pop()
-            if limit is not None and depth + self.program.reach > limit:
-                self.depth_clipped = True
         elif isinstance(goal, Conj):
-            for _ in self.reduce_goal(goal.left, depth + 1):
-                for _ in self.reduce_goal(goal.right, depth + 1):
+            for _ in self.reduce_goal(goal.left, depth):
+                for _ in self.reduce_goal(goal.right, depth):
                     self.steps.append(("pv", self.program, goal, None))
                     yield
                     self.steps.pop()
         elif isinstance(goal, Exists):
             witness = fresh_var(goal.var.name)
             body = map_terms(goal.body, partial(subst_term, {goal.var.id: witness}))
-            for _ in self.reduce_goal(body, depth + 1):
+            for _ in self.reduce_goal(body, depth):
                 theta = (goal.var.name, witness) if goal.noisy else None
                 self.steps.append(("pv", self.program, goal, theta))
                 yield
@@ -205,12 +192,10 @@ class ProofSearch:
         """Decompose ``clause`` until its head matches ``goal_atom``.
 
         Facts unify directly; a rule's head is unified and then its body is
-        proved against the full program; universals are stripped by
-        renaming the bound variable fresh, recording the instantiation for
-        noisy ones.
+        proved against the full program, one call deeper than ``depth``;
+        universals are stripped by renaming the bound variable fresh,
+        recording the instantiation for noisy ones.
         """
-        if self._too_deep(depth):
-            return
         if isinstance(clause, Fact):
             mark = len(self.trail)
             if self._unify_atoms(clause.head, goal_atom):
@@ -229,7 +214,7 @@ class ProofSearch:
         elif isinstance(clause, Forall):
             witness = fresh_var(clause.var.name)
             inner = map_terms(clause.inner, partial(subst_term, {clause.var.id: witness}))
-            for _ in self.backchain(inner, goal_atom, depth + 1):
+            for _ in self.backchain(inner, goal_atom, depth):
                 theta = (clause.var.name, witness) if clause.noisy else None
                 self.steps.append(("bc", clause, goal_atom, theta))
                 yield

@@ -153,11 +153,11 @@ def differential_check(
     max_depth: int = 64,
     max_solutions: int = 10_000,
     universe_depth: int = 0,
-    oracle_depth: int = 32,
     work_limit: int = 2_000_000,
     occurs_check: bool = True,
 ) -> CheckReport:
-    """Compare the engine's strict-mode answer set against the oracle's."""
+    """Compare the engine's strict-mode answer set against the oracle's,
+    both bounded by ``max_depth`` nested calls."""
     config = SolveConfig(
         groundness_mode="strict",
         max_depth=max_depth,
@@ -176,7 +176,7 @@ def differential_check(
     try:
         universe = herbrand_universe(program, universe_depth)
         oracle_answers = oracle_solve(
-            program, goal, universe, depth_bound=oracle_depth, work_limit=work_limit
+            program, goal, universe, depth_bound=max_depth, work_limit=work_limit
         )
     except OracleOverflow as err:
         return CheckReport(status="overflow", engine_answers=engine_answers, detail=str(err))

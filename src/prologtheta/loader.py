@@ -43,10 +43,10 @@ def first_arg_key(term: Term):
 
 
 class PredicateIndex(NamedTuple):
-    """One predicate's clauses: ``every`` holds a ``(clause, reach)`` entry
-    per clause in textual order, and ``by_key`` (each first-argument key's
-    clauses) and ``wild`` (the variable-headed ones) hold ascending
-    positions into it.  None of them changes once the program is built.
+    """One predicate's clauses: ``every`` holds them in textual order, and
+    ``by_key`` (each first-argument key's clauses) and ``wild`` (the
+    variable-headed ones) hold ascending positions into it.  None of them
+    changes once the program is built.
     """
 
     every: list
@@ -54,8 +54,8 @@ class PredicateIndex(NamedTuple):
     wild: list
 
     def lookup(self, key) -> list:
-        """The entries of the clauses whose first argument has ``key`` or
-        is a variable, in textual order."""
+        """The clauses whose first argument has ``key`` or is a variable,
+        in textual order."""
         own = self.by_key.get(key)
         if own is None:
             positions = self.wild
@@ -66,22 +66,13 @@ class PredicateIndex(NamedTuple):
         return [self.every[i] for i in positions]
 
 
-def _index_clauses(clauses: tuple[Clause, ...]) -> tuple[dict, int]:
-    """Per-predicate first-argument index, and the whole program's reach.
-
-    A clause's reach is 1 + its number of leading universals: how far past
-    the calling goal's depth trying it goes before its head is unified.
-    An entry carries the largest reach of all clauses up to and including
-    its own, so a search that skips the clauses between two candidates can
-    still report whether trying them would have hit the depth limit.
-    """
+def _index_clauses(clauses: tuple[Clause, ...]) -> dict:
+    """The per-predicate first-argument index of ``clauses``."""
     index: dict[str, PredicateIndex] = {}
-    reach = 0
     for clause in clauses:
-        inner, layers = clause, 0
+        inner = clause
         while isinstance(inner, Forall):
-            inner, layers = inner.inner, layers + 1
-        reach = max(reach, 1 + layers)
+            inner = inner.inner
         head = inner.head
         table = index.get(head.pred)
         if table is None:
@@ -89,8 +80,8 @@ def _index_clauses(clauses: tuple[Clause, ...]) -> tuple[dict, int]:
         key = first_arg_key(head.args[0]) if head.args else None
         positions = table.wild if key is None else table.by_key.setdefault(key, [])
         positions.append(len(table.every))
-        table.every.append((clause, reach))
-    return index, reach
+        table.every.append(clause)
+    return index
 
 
 @dataclass(frozen=True)
@@ -99,8 +90,8 @@ class Program:
 
     ``arity_table`` maps each predicate to its arity at first use, as the
     well-formedness check built it; readers must not extend it.  ``index``
-    (a ``PredicateIndex`` per predicate) and ``reach`` (the largest clause
-    reach, 0 for no clauses) are derived from ``clauses`` on construction.
+    (a ``PredicateIndex`` per predicate) is derived from ``clauses`` on
+    construction.
     """
 
     name: str
@@ -108,12 +99,9 @@ class Program:
     unknown_table: dict
     arity_table: dict
     index: dict = field(init=False, compare=False, repr=False)
-    reach: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        index, reach = _index_clauses(self.clauses)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "reach", reach)
+        object.__setattr__(self, "index", _index_clauses(self.clauses))
 
     def arities(self) -> dict:
         """A copy of the arity table, free for a caller to extend."""

@@ -105,10 +105,9 @@ def _ground_atom(a: Atom, env: Mapping[int, Term]) -> Atom:
 
 
 class _Enumerator:
-    def __init__(self, program: Program, universe: Universe, depth_bound: int, work_limit: int):
+    def __init__(self, program: Program, universe: Universe, work_limit: int):
         self.program = program
         self.universe = universe
-        self.depth_bound = depth_bound
         self.work_limit = work_limit
         self.work = 0
         self.memo: dict[tuple[Atom, int], frozenset] = {}
@@ -119,11 +118,12 @@ class _Enumerator:
             raise OracleOverflow(f"work limit {self.work_limit} exceeded")
 
     def prove(self, goal: Goal, env: dict, depth: int) -> frozenset:
-        """Set of noisy-binding lists over all derivations of ``goal``."""
+        """Set of noisy-binding lists over all derivations of ``goal`` that
+        nest at most ``depth`` calls; each rule body is one call deeper."""
         self._tick()
-        if depth <= 0:
-            return frozenset()
         if isinstance(goal, Atom):
+            if depth <= 0:
+                return frozenset()
             ground = _ground_atom(goal, env)
             key = (ground, depth)
             cached = self.memo.get(key)
@@ -131,20 +131,20 @@ class _Enumerator:
                 return cached
             out: set = set()
             for clause in self.program.clauses:
-                out |= self.chain(clause, {}, ground, depth - 1)
+                out |= self.chain(clause, {}, ground, depth)
             result = frozenset(out)
             self.memo[key] = result
             return result
         if isinstance(goal, Conj):
-            lefts = self.prove(goal.left, env, depth - 1)
+            lefts = self.prove(goal.left, env, depth)
             if not lefts:
                 return frozenset()
-            rights = self.prove(goal.right, env, depth - 1)
+            rights = self.prove(goal.right, env, depth)
             return frozenset(l + r for l in lefts for r in rights)
         if isinstance(goal, Exists):
             out = set()
             for pick in self.universe.terms:
-                sub = self.prove(goal.body, {**env, goal.var.id: pick}, depth - 1)
+                sub = self.prove(goal.body, {**env, goal.var.id: pick}, depth)
                 if goal.noisy:
                     sub = {ans + ((goal.var.name, pick),) for ans in sub}
                 out |= sub
@@ -153,8 +153,6 @@ class _Enumerator:
 
     def chain(self, clause: Clause, cenv: dict, target: Atom, depth: int) -> frozenset:
         self._tick()
-        if depth <= 0:
-            return frozenset()
         if isinstance(clause, Fact):
             if _ground_atom(clause.head, cenv) == target:
                 return frozenset({()})
@@ -166,7 +164,7 @@ class _Enumerator:
         if isinstance(clause, Forall):
             out = set()
             for pick in self.universe.terms:
-                sub = self.chain(clause.inner, {**cenv, clause.var.id: pick}, target, depth - 1)
+                sub = self.chain(clause.inner, {**cenv, clause.var.id: pick}, target, depth)
                 if clause.noisy:
                     sub = {ans + ((clause.var.name, pick),) for ans in sub}
                 out |= sub
@@ -186,9 +184,10 @@ def oracle_solve(
 
     Enumerates all assignments of universe terms to every quantifier and
     keeps the noisy bindings of each successful derivation, in the same
-    premise-first order the engine records them.  Enlarging the universe or
-    the depth bound never removes answers.  Raises OracleOverflow past the
-    work limit.
+    premise-first order the engine records them.  ``depth_bound`` counts
+    nested calls as the engine's ``max_depth`` does.  Enlarging the universe
+    or the depth bound never removes answers.  Raises OracleOverflow past
+    the work limit.
     """
-    enum = _Enumerator(program, universe, depth_bound, work_limit)
+    enum = _Enumerator(program, universe, work_limit)
     return enum.prove(goal, {}, depth_bound)

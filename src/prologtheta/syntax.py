@@ -93,7 +93,7 @@ def fold(node, on_atom, on_binder=_keep, scope=None):
     ``on_atom(atom, scope)`` returns the copy of each atom, clause heads
     included.  ``on_binder(var, noisy, scope)`` returns the ``(var, noisy,
     inner_scope)`` of each quantifier before its body is copied, so a
-    binder's scope reaches exactly the atoms under it; by default binders
+    binder's scope covers exactly the atoms under it; by default binders
     are kept as they are.  Callbacks run in textual order (left before
     right, head before body), which fixes the order of any fresh ids they
     draw.  Raises NodeError for a node out of place.

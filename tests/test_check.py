@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 import prologtheta.fuzz as fuzz
 from prologtheta.fuzz import (
     FuzzCase,
@@ -67,6 +69,19 @@ def test_uncertifiable_search_is_reported_incomplete():
     goal = desugar_query_vars(parse_query("p"))
     report = differential_check(prog, goal, max_depth=16)
     assert report.status == "incomplete"
+
+
+@pytest.mark.parametrize("edges, max_depth", [(6, 64), (6, 8)])
+def test_recursion_the_engine_completes_matches_the_oracle(edges, max_depth):
+    # the oracle counts nested calls as the engine does, so it finds every
+    # derivation of a search that was not cut
+    text = "".join(f"edge(n{i}, n{i + 1}).\n" for i in range(edges)) + (
+        "path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z).\n"
+    )
+    goal = desugar_query_vars(parse_query("path(n0, Y)"))
+    report = differential_check(load(text, name="line"), goal, max_depth=max_depth)
+    assert report.status == "match", report.detail
+    assert len(report.engine_answers) == edges
 
 
 def test_erasure_outcomes_agree_on_sample():

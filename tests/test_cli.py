@@ -198,6 +198,15 @@ def test_check_fuzz(capsys):
     assert "MATCH (40/40" in capsys.readouterr().out
 
 
+def test_check_fuzz_names_an_uncertified_case_incomplete(capsys):
+    # case 1 needs the body of a rule, one call deeper than a limit of 1 allows
+    code = main(["check", "--fuzz", "50", "--seed", "3", "--max-depth", "1"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.startswith("INCOMPLETE (case 1/50, seed 3)\n")
+    assert out.endswith("engine search hit the depth or recursion limit; cannot certify\n")
+
+
 def test_check_requires_universe_depth_for_functors(tmp_path, capsys):
     mod = tmp_path / "m.plt"
     mod.write_text("p(f(a)).\n", encoding="utf-8")
@@ -344,10 +353,12 @@ def test_max_depth_below_one_is_an_error(argv, phone_path, capsys):
     assert captured.err.startswith("error: max_depth must be at least 1")
 
 
-def test_repl_rejects_max_depth_below_one_and_keeps_the_setting(phone_path):
-    # the phone atom sits at depth 3, so the fact is out of reach at 3
-    script = ":set max_depth 3\n:set max_depth -4\nphone(tom, _, Y).\n:quit\n"
-    code, out = _repl(script, modules=[phone_path])
+def test_repl_rejects_max_depth_below_one_and_keeps_the_setting(tmp_path):
+    mod = tmp_path / "m.plt"
+    mod.write_text("p(X) :- q(X).\nq(X) :- r(X).\nr(X) :- s(X).\ns(a).\n", encoding="utf-8")
+    # s is called at depth 4, past a limit of 3
+    script = ":set max_depth 3\n:set max_depth -4\np(X).\n:quit\n"
+    code, out = _repl(script, modules=[str(mod)])
     assert code == 0
     assert out.split("?- ")[2:4] == [
         "error: max_depth must be at least 1, not -4\n", "incomplete search.\n",
@@ -368,30 +379,93 @@ def test_check_rejects_negative_counts(argv, flag, tmp_path, capsys):
     assert captured.err.startswith(f"error: {flag} must be at least 0")
 
 
-# p(b) matches no clause, but trying the q clause would pass depth 4
+# p(b) matches no clause; the q clause and its universals cost no depth
 DEEP_Q = "p(a).\nall X : all Y : all Z : q(X, Y, Z).\n"
 
 
-@pytest.mark.parametrize("depth, code, line", [
-    ("2", 3, "incomplete search."),
-    ("5", 1, "no."),
-])
-def test_depth_limit_counts_the_clauses_an_atom_skips(depth, code, line, tmp_path, capsys):
+@pytest.mark.parametrize("depth", ["1", "2", "5"])
+def test_depth_limit_ignores_the_clauses_an_atom_skips(depth, tmp_path, capsys):
     mod = tmp_path / "m.plt"
     mod.write_text(DEEP_Q, encoding="utf-8")
-    assert main(["--module", str(mod), "--query", "p(b)", "--max-depth", depth]) == code
-    assert capsys.readouterr().out.splitlines() == [line]
+    assert main(["--module", str(mod), "--query", "p(b)", "--max-depth", depth]) == 1
+    assert capsys.readouterr().out.splitlines() == ["no."]
 
 
-def test_repl_more_reports_the_depth_limit_of_the_clauses_before_it(tmp_path):
+NAT = "nat(z).\nnat(s(X)) :- nat(X).\n"
+
+
+@pytest.mark.parametrize("program, query, depth, code, lines", [
+    # the query's atoms are at depth 1
+    ("p(a).\n", "p(a)", "1", 0, ["yes."]),
+    # a rule body is one call deeper than the atom it resolved
+    ("p(X) :- q(X).\nq(a).\n", "p(X)", "1", 3, ["incomplete search."]),
+    ("p(X) :- q(X).\nq(a).\n", "p(X)", "2", 0, ["X = a"]),
+    # universals, conjunctions and existentials add no depth
+    ("all* A, B, C, D : w(A, B, C, D) :- v(A), v(B), v(C), v(D).\nv(a).\n",
+     "w(a, a, a, a)", "2", 0, ["D = a", "C = a", "B = a", "A = a"]),
+    # a recursion is enumerated down to the limit
+    (NAT, "nat(X)", "3", 0, ["X = z", "X = s(z)", "X = s(s(z))"]),
+])
+def test_depth_limit_counts_nested_calls(program, query, depth, code, lines, tmp_path, capsys):
     mod = tmp_path / "m.plt"
-    mod.write_text(DEEP_Q + "p(b).\n", encoding="utf-8")
-    script = "p(X).\n:more\np(b).\n:more\n:quit\n"
-    code, out = _repl(script, modules=[str(mod)], options=["--max-depth", "4"])
+    mod.write_text(program, encoding="utf-8")
+    argv = ["--module", str(mod), "--query", query, "--all", "--max-depth", depth]
+    assert main(argv) == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_repl_more_reports_the_depth_limit_after_the_last_answer(tmp_path):
+    mod = tmp_path / "m.plt"
+    mod.write_text(NAT, encoding="utf-8")
+    script = "nat(X).\n:more\n:more\n:more\n:more\n:quit\n"
+    code, out = _repl(script, modules=[str(mod)], options=["--all", "--max-depth", "3"])
     assert code == 0
-    assert out.split("?- ")[1:5] == [
-        "X = a\n", "no more solutions.\n", "yes.\n", "incomplete search.\n",
+    assert out.split("?- ")[1:6] == [
+        "X = z\n", "X = s(z)\n", "X = s(s(z))\n", "incomplete search.\n",
+        "no active query.\n",
     ]
+
+
+REPL_RULES = "q(a).\nq(b).\nq(c).\np(X) :- q(X).\n"
+
+
+def _count_snapshots(monkeypatch):
+    calls = []
+    real = ProofSearch.snapshot
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(ProofSearch, "snapshot", counted)
+    return calls
+
+
+def test_repl_builds_no_trace_while_trace_is_off(tmp_path, monkeypatch):
+    mod = tmp_path / "m.plt"
+    mod.write_text(REPL_RULES, encoding="utf-8")
+    calls = _count_snapshots(monkeypatch)
+    script = ":trace off\np(X).\n:more\n:more\n:more\n:quit\n"
+    code, out = _repl(script, modules=[str(mod)], options=["--all", "--trace"])
+    assert code == 0
+    assert ["X = a", "X = b", "X = c", "no more solutions."] == [
+        line for line in out.replace("?- ", "").splitlines() if line
+    ]
+    assert calls == []
+
+
+def test_repl_trace_on_before_more_prints_the_traced_session_bytes(tmp_path, monkeypatch):
+    mod = tmp_path / "m.plt"
+    mod.write_text(REPL_RULES, encoding="utf-8")
+    calls = _count_snapshots(monkeypatch)
+    code, late = _repl("p(X).\n:trace on\n:more\n:more\n:quit\n", modules=[str(mod)],
+                       options=["--all"])
+    assert code == 0 and len(calls) == 2
+    code, traced = _repl("p(X).\n:more\n:more\n:quit\n", modules=[str(mod)],
+                         options=["--all", "--trace"])
+    assert code == 0 and len(calls) == 5
+    # the same prompts after the query, minus the one that read ``:trace on``
+    assert "bc(" in traced and late.split("?- ")[3:] == traced.split("?- ")[2:]
 
 
 def test_repl_rejects_max_solutions_below_one_and_keeps_the_setting(tmp_path):

@@ -272,8 +272,58 @@ def test_clipped_search_can_still_find_solutions():
     assert session.incomplete
 
 
+def closure(nodes):
+    """The transitive closure ``path/2`` of a line of ``nodes`` nodes."""
+    return "".join(f"edge(n{i}, n{i + 1}).\n" for i in range(nodes - 1)) + (
+        "path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z).\n"
+    )
+
+
+def test_a_deeper_limit_only_adds_answers():
+    """The answers at depth limit d are a subsequence of those at d + 1 and
+    of the unlimited ones, and a session not reported incomplete has
+    exactly the unlimited answers."""
+    from prologtheta.fuzz import random_case
+
+    def outcome(prog, goal, config):
+        session = solve(prog, goal, config)
+        found = [tuple((n, format_term(t)) for n, t in sol.answer) for sol in session]
+        return found, session.incomplete
+
+    def is_subsequence(short, long):
+        rest = iter(long)
+        return all(item in rest for item in short)
+
+    rng = random.Random(7)
+    cases = [(c.program_text, [c.query_text]) for c in (random_case(rng) for _ in range(300))]
+    # answered in full from limit 5 on
+    cases.append((closure(4), ["path(n0, Y)", "path(X, n3)", "path(X, Y)"]))
+    cut = 0
+    for text, queries in cases:
+        prog = load(text, name="m")
+        for query in queries:
+            goal = desugar_query_vars(parse_query(query))
+            for mode in ("strict", "lenient"):
+                for occurs_check in (True, False):
+                    unlimited = SolveConfig(mode, None, None, occurs_check)
+                    full, clipped = outcome(prog, goal, unlimited)
+                    assert not clipped
+                    shallower = []
+                    for max_depth in range(1, 7):
+                        config = SolveConfig(mode, max_depth, None, occurs_check)
+                        found, clipped = outcome(prog, goal, config)
+                        assert is_subsequence(shallower, found)
+                        assert is_subsequence(found, full)
+                        assert clipped or found == full
+                        shallower = found
+                        cut += clipped
+    assert cut > 150
+
+
 # ---------------------------------------------------------------------------
 # Clause indexing.
+
+PATH = closure(6)
 
 INDEXED_MODULES = [
     # a constant next to a compound of the same name
@@ -292,8 +342,11 @@ INDEXED_MODULES = [
     # variable heads, one noisy, interleaved with keyed ones
     ("q(a, 1).\nall X : q(X, 2).\nq(b, 3).\nq(a, 4).\nall* Y : q(Y, 5).\n",
      ["q(a, N)", "q(b, N)", "q(c, N)", "q(X, N)"]),
-    # a clause of another predicate reaches past the depth limit
+    # a clause of another predicate with universals, which cost no depth
     ("p(a).\nall X : all Y : all Z : q(X, Y, Z).\np(b).\n", ["p(X)", "p(b)", "p(c)"]),
+    # a recursive closure, which the depth limit cuts
+    (PATH, ["path(n0, Y)", "path(X, n5)", "path(X, Y)", "path(n1, n4)", "path(n3, X)",
+            "path(n0, n5)", "path(X, n2)", "path(n5, X)"]),
     # keyed clauses interleaved with variable-headed ones, both merged at lookup
     ("".join(f"w(k{i % 3}, {i}).\nall X : w(X, v{i}).\n" for i in range(6)),
      ["w(k1, N)", "w(k5, N)", "w(X, N)", "w(X, v2), w(k2, X)"]),
@@ -308,16 +361,8 @@ def index_entries(program):
 
 
 def every_clause(search, goal):
-    """The unindexed scan: every program clause in order, with its reach."""
-    entries, reach = [], 0
-    for clause in search.program.clauses:
-        inner, layers = clause, 0
-        while isinstance(inner, Forall):
-            inner, layers = inner.inner, layers + 1
-        reach = max(reach, 1 + layers)
-        entries.append((clause, reach))
-    assert search.program.reach == reach
-    return entries
+    """The unindexed scan: every program clause in order."""
+    return search.program.clauses
 
 
 def test_indexed_search_matches_the_scan_of_every_clause(monkeypatch):
@@ -343,7 +388,7 @@ def test_indexed_search_matches_the_scan_of_every_clause(monkeypatch):
             goal = desugar_query_vars(parse_query(query))
             for mode in ("strict", "lenient"):
                 for occurs_check in (True, False):
-                    for max_depth in (None, 3, 5, 8):
+                    for max_depth in (None, 1, 2):
                         for max_solutions in (None, 1, 2):
                             config = SolveConfig(mode, max_depth, max_solutions, occurs_check)
                             indexed = outcomes(prog, goal, config)
