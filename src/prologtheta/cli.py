@@ -218,14 +218,15 @@ def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             printer.bold(line)
         if args.trace:
             printer.plain(format_proof(sol.trace, sol.answer))
-    if found:
+    if found and not session.incomplete:
         return 0
+    # a cut search says so, also after the answers it found
     if as_json:
         status = "incomplete" if session.incomplete else "fail"
         print(json.dumps(solution_json(None, status)), file=out)
     else:
         printer.plain("incomplete search." if session.incomplete else "no.")
-    return 3 if session.incomplete else 1
+    return 0 if found else 3 if session.incomplete else 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Two-phase proof search with per-step recording of instantiations.
 
-Search alternates between goal reduction and backchaining.  Goal reduction
-(``reduce_goal``, displayed as ``pv``) simplifies a goal until it is an
-atom, then switches to backchaining (``backchain``, displayed as ``bc``),
-which decomposes one program clause until its head matches the atom.
+Search alternates between goal reduction (displayed as ``pv``), which
+simplifies a goal until it is an atom, and backchaining (``backchain``,
+displayed as ``bc``), which decomposes one program clause until its head
+matches the atom.  ``ProofSearch.prove`` runs both in one loop over a
+continuation (goals still to prove and steps still to record) and a stack
+of choicepoints (atoms with clauses left to try), so a deep proof costs
+heap, not Python frames.  Backtracking undoes the trail and truncates the
+steps to the newest choicepoint's marks.
 
 Every completed inference contributes one step to the proof; a step
 carries a binding exactly when it instantiated a noisy quantifier.  Steps
@@ -24,7 +28,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional, Sequence, Union
 
-from .terms import Term, Var, fresh_var, is_ground, resolve_term, unify_into, walk_shallow
+from .terms import Compound, Term, Var, fresh_var, is_ground, resolve_term, unify_into
+from .terms import walk_shallow
 from .syntax import (
     Atom,
     Clause,
@@ -33,7 +38,6 @@ from .syntax import (
     Fact,
     Forall,
     Goal,
-    Rule,
     map_terms,
     subst_term,
     wellformed,
@@ -100,6 +104,33 @@ class Solution:
     trace: Optional[ProofTrace]
 
 
+class _Layer:
+    """The focus of a bc step: layer ``depth`` of a clause try (the core
+    past the last one) with only the outer universals renamed to the try's
+    witnesses, built on first read."""
+
+    __slots__ = ("template", "witnesses", "depth", "built")
+
+    def __init__(self, template: tuple, witnesses: list, depth: int):
+        self.template, self.witnesses, self.depth, self.built = template, witnesses, depth, None
+
+    def clause(self) -> Clause:
+        if self.built is None:
+            layers, core = self.template
+            outer = zip(layers[: self.depth], self.witnesses)
+            node = layers[self.depth] if self.depth < len(layers) else core
+            self.built = map_terms(node, partial(subst_term, {layer.var.id: w for layer, w in outer}))
+        return self.built
+
+
+def _mark(term: Term, met: set) -> None:
+    if type(term) is Var:
+        met.add(term.id)
+    elif type(term) is Compound:
+        for arg in term.args:
+            _mark(arg, met)
+
+
 class ProofSearch:
     """One in-progress search: owns its bindings, trail, and step list.
 
@@ -116,10 +147,6 @@ class ProofSearch:
         self.depth_clipped = False
 
     # -- bookkeeping --------------------------------------------------------
-
-    def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            del self.bindings[self.trail.pop()]
 
     def candidates(self, goal: Atom) -> Sequence[Clause]:
         """The clauses that may match ``goal``, in textual order.
@@ -139,88 +166,111 @@ class ProofSearch:
             return table.every
         return table.lookup(first_arg_key(first))
 
-    def _unify_atoms(self, a: Atom, b: Atom) -> bool:
-        if a.pred != b.pred or len(a.args) != len(b.args):
-            return False
-        return all(
-            unify_into(x, y, self.bindings, self.trail, self.config.occurs_check)
-            for x, y in zip(a.args, b.args)
-        )
+    def backchain(self, clause: Clause, goal: Atom, depth: int, cont: tuple) -> Optional[tuple]:
+        """Try ``clause`` on ``goal``, renaming its universals once: the
+        continuation that proves its body one call deeper, records its bc
+        steps and the atom's pv step, then goes on with ``cont``; or None
+        when the head does not match."""
+        template = self.program.templates.get(id(clause))
+        if template is None:  # the Forall layers, outermost first, and the core
+            layers, core = [], clause
+            while isinstance(core, Forall):
+                layers.append(core)
+                core = core.inner
+            template = self.program.templates[id(clause)] = (tuple(layers), core)
+        layers, core = template
+        renaming = {layer.var.id: fresh_var(layer.var.name) for layer in layers}
+        if core.head.pred != goal.pred or len(core.head.args) != len(goal.args):
+            return None
+        met: set = set()
+        for pattern, term in zip(core.head.args, goal.args):
+            if not self._match(pattern, term, renaming, met):
+                return None
+        witnesses = list(renaming.values())
+        thetas = [(layer.var.name, w) if layer.noisy else None
+                  for layer, w in zip(layers, witnesses)] + [None]  # the core's last
+        group = [("bc", _Layer(template, witnesses, i) if i else clause, goal, thetas[i])
+                 for i in range(len(layers), -1, -1)]
+        group.append(("pv", self.program, goal, None))
+        if isinstance(core, Fact):
+            return None, group, cont
+        return map_terms(core.body, partial(subst_term, renaming)), depth + 1, (None, group, cont)
 
-    # -- goal reduction -------------------------------------------------
+    def _match(self, pattern: Term, term: Term, renaming: dict, met: set) -> bool:
+        """Unify a renamed clause-head subterm with a goal subterm.  A
+        universal met for the first time, walking the head left to right,
+        binds with no occurs check, as nothing it could occur in is bound
+        yet.  Those in a head subterm that a goal variable binds to are met."""
+        if type(pattern) is Var:
+            var = renaming[pattern.id]
+            if pattern.id not in met:
+                met.add(pattern.id)
+                self.bindings[var.id] = walk_shallow(term, self.bindings)
+                self.trail.append(var.id)
+                return True
+            pattern = var
+        elif type(pattern) is Compound:
+            term = walk_shallow(term, self.bindings)
+            if type(term) is Compound:
+                return (pattern.functor == term.functor
+                        and len(pattern.args) == len(term.args)
+                        and all(self._match(p, t, renaming, met)
+                                for p, t in zip(pattern.args, term.args)))
+            if type(term) is not Var:
+                return False
+            _mark(pattern, met)
+            pattern = subst_term(renaming, pattern)
+        return unify_into(pattern, term, self.bindings, self.trail, self.config.occurs_check)
 
-    def reduce_goal(self, goal: Goal, depth: int) -> Iterator[None]:
-        """Yield once per derivation of ``goal``; bindings live across yields.
-
-        ``depth`` is the resolution depth of the atoms in ``goal``: 1 for
-        the query's, one more than the resolved atom's for a rule body's.
-        Atoms switch to backchaining over the clauses that can match them,
-        unless they lie past the depth limit; conjunctions prove left then
-        right; existentials allocate a fresh variable for the bound one
-        and, when noisy, record its final value.
-        """
-        if isinstance(goal, Atom):
-            limit = self.config.max_depth
-            if limit is not None and depth > limit:
-                self.depth_clipped = True
+    def prove(self, goal: Goal) -> Iterator[None]:
+        """Yield once per derivation of ``goal``; bindings and steps hold
+        across yields.  A frame ``(goal, depth, next)`` proves a goal whose
+        atoms sit at resolution ``depth`` (1 for the query's, one more than
+        the resolved atom's for a rule body's), ``(None, steps, next)``
+        records steps; an existential's witness is a fresh variable."""
+        program, steps, bindings, trail = self.program, self.steps, self.bindings, self.trail
+        limit = self.config.max_depth
+        choices: list[list] = []  # [trail mark, step count, atom, depth, clauses, next, cont]
+        cont: Optional[tuple] = (goal, 1, None)
+        while True:
+            if cont is None:
+                yield
+            else:
+                goal, depth, cont = cont
+                if goal is None:  # a step-group frame holds its steps in the middle
+                    steps.extend(depth)
+                    continue
+                if type(goal) is Conj:
+                    done = (None, (("pv", program, goal, None),), cont)
+                    cont = (goal.left, depth, (goal.right, depth, done))
+                    continue
+                if type(goal) is Exists:
+                    witness = fresh_var(goal.var.name)
+                    body = map_terms(goal.body, partial(subst_term, {goal.var.id: witness}))
+                    theta = (goal.var.name, witness) if goal.noisy else None
+                    cont = (body, depth, (None, (("pv", program, goal, theta),), cont))
+                    continue
+                if limit is not None and depth > limit:
+                    self.depth_clipped = True
+                else:
+                    candidates = self.candidates(goal)  # ordered clause trial
+                    if candidates:
+                        choices.append([len(trail), len(steps), goal, depth, candidates, 0, cont])
+            # resume the newest choicepoint: the call just made, or backtracking
+            while choices:
+                choice = choices[-1]
+                mark, count, atom, depth, candidates, i, after = choice
+                while len(trail) > mark:
+                    del bindings[trail.pop()]
+                del steps[count:]
+                choice[5] = i + 1
+                if i + 1 == len(candidates):
+                    choices.pop()
+                cont = self.backchain(candidates[i], atom, depth, after)
+                if cont is not None:
+                    break
+            else:
                 return
-            for clause in self.candidates(goal):  # ordered clause trial
-                for _ in self.backchain(clause, goal, depth):
-                    self.steps.append(("pv", self.program, goal, None))
-                    yield
-                    self.steps.pop()
-        elif isinstance(goal, Conj):
-            for _ in self.reduce_goal(goal.left, depth):
-                for _ in self.reduce_goal(goal.right, depth):
-                    self.steps.append(("pv", self.program, goal, None))
-                    yield
-                    self.steps.pop()
-        elif isinstance(goal, Exists):
-            witness = fresh_var(goal.var.name)
-            body = map_terms(goal.body, partial(subst_term, {goal.var.id: witness}))
-            for _ in self.reduce_goal(body, depth):
-                theta = (goal.var.name, witness) if goal.noisy else None
-                self.steps.append(("pv", self.program, goal, theta))
-                yield
-                self.steps.pop()
-        else:
-            raise EngineError(f"not a goal node: {goal!r}")
-
-    # -- backchaining -----------------------------------------------------
-
-    def backchain(self, clause: Clause, goal_atom: Atom, depth: int) -> Iterator[None]:
-        """Decompose ``clause`` until its head matches ``goal_atom``.
-
-        Facts unify directly; a rule's head is unified and then its body is
-        proved against the full program, one call deeper than ``depth``;
-        universals are stripped by renaming the bound variable fresh,
-        recording the instantiation for noisy ones.
-        """
-        if isinstance(clause, Fact):
-            mark = len(self.trail)
-            if self._unify_atoms(clause.head, goal_atom):
-                self.steps.append(("bc", clause, goal_atom, None))
-                yield
-                self.steps.pop()
-            self._undo(mark)
-        elif isinstance(clause, Rule):
-            mark = len(self.trail)
-            if self._unify_atoms(clause.head, goal_atom):
-                for _ in self.reduce_goal(clause.body, depth + 1):
-                    self.steps.append(("bc", clause, goal_atom, None))
-                    yield
-                    self.steps.pop()
-            self._undo(mark)
-        elif isinstance(clause, Forall):
-            witness = fresh_var(clause.var.name)
-            inner = map_terms(clause.inner, partial(subst_term, {clause.var.id: witness}))
-            for _ in self.backchain(inner, goal_atom, depth):
-                theta = (clause.var.name, witness) if clause.noisy else None
-                self.steps.append(("bc", clause, goal_atom, theta))
-                yield
-                self.steps.pop()
-        else:
-            raise EngineError(f"not a clause node: {clause!r}")
 
     # -- results -----------------------------------------------------------
 
@@ -251,7 +301,9 @@ class ProofSearch:
             ProofStep(
                 index=i,
                 kind=kind,
-                focus=focus if isinstance(focus, Program) else map_terms(focus, resolve),
+                focus=focus if isinstance(focus, Program) else map_terms(
+                    focus.clause() if isinstance(focus, _Layer) else focus, resolve
+                ),
                 goal=map_terms(goal, resolve),
                 theta=None if theta is None else (theta[0], resolve(theta[1])),
             )
@@ -290,7 +342,7 @@ class SolveSession:
         search = self.search
         strict = config.groundness_mode == "strict"
         try:
-            for _ in search.reduce_goal(self.goal, 1):
+            for _ in search.prove(self.goal):
                 answer = search.answer(strict)
                 if answer is None:
                     continue  # non-ground noisy witness: reject and backtrack

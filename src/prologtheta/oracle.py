@@ -1,10 +1,10 @@
 """Brute-force reference prover over finite ground instantiations.
 
-This is the verification oracle: it decides derivability by exhaustively
-enumerating, over a finite universe of ground terms, every instantiation
-choice each quantifier could make (silent ones too, since they affect
-derivability even though they are not reported), and collects the set of
-distinct noisy-binding lists of successful derivations.
+This is the verification oracle: it decides derivability by enumerating,
+over a finite universe of ground terms, every instantiation of each
+quantifier (silent ones too), except a clause universal that matching the
+clause head with the ground atom being proved fixes, and collects the set
+of distinct noisy-binding lists of successful derivations.
 
 It deliberately shares nothing with the search engine beyond the term and
 formula types, so it can serve as an independent check.  It is not meant
@@ -104,6 +104,20 @@ def _ground_atom(a: Atom, env: Mapping[int, Term]) -> Atom:
     return Atom(a.pred, tuple(_ground(t, env) for t in a.args))
 
 
+def _match(pattern, ground, env: dict) -> bool:
+    """One-way match of a clause term, or tuple of terms, against a ground
+    one, extending ``env`` (variable id to term)."""
+    if isinstance(pattern, tuple):
+        return len(pattern) == len(ground) and all(
+            _match(p, g, env) for p, g in zip(pattern, ground))
+    if isinstance(pattern, Var):
+        return env.setdefault(pattern.id, ground) == ground
+    if isinstance(pattern, Compound):
+        return (isinstance(ground, Compound) and pattern.functor == ground.functor
+                and _match(pattern.args, ground.args, env))
+    return pattern == ground
+
+
 class _Enumerator:
     def __init__(self, program: Program, universe: Universe, work_limit: int):
         self.program = program
@@ -111,6 +125,7 @@ class _Enumerator:
         self.work_limit = work_limit
         self.work = 0
         self.memo: dict[tuple[Atom, int], frozenset] = {}
+        self.members = frozenset(universe.terms)
 
     def _tick(self) -> None:
         self.work += 1
@@ -162,8 +177,17 @@ class _Enumerator:
                 return frozenset()
             return self.prove(clause.body, cenv, depth - 1)
         if isinstance(clause, Forall):
+            # a binder the head shows is fixed by matching it with the target
+            core, fixed = clause, dict(cenv)
+            while isinstance(core, Forall):
+                core = core.inner
+            if core.head.pred != target.pred or not _match(core.head.args, target.args, fixed):
+                return frozenset()
+            value = fixed.get(clause.var.id)
+            picks = self.universe.terms if value is None else (
+                (value,) if value in self.members else ())
             out = set()
-            for pick in self.universe.terms:
+            for pick in picks:
                 sub = self.chain(clause.inner, {**cenv, clause.var.id: pick}, target, depth)
                 if clause.noisy:
                     sub = {ans + ((clause.var.name, pick),) for ans in sub}
@@ -182,12 +206,12 @@ def oracle_solve(
 ) -> frozenset:
     """Set of answer lists derivable for a closed goal.
 
-    Enumerates all assignments of universe terms to every quantifier and
-    keeps the noisy bindings of each successful derivation, in the same
-    premise-first order the engine records them.  ``depth_bound`` counts
-    nested calls as the engine's ``max_depth`` does.  Enlarging the universe
-    or the depth bound never removes answers.  Raises OracleOverflow past
-    the work limit.
+    Enumerates every assignment of universe terms to the quantifiers that
+    clause heads leave open, keeping the noisy bindings of each successful
+    derivation in the premise-first order the engine records them.
+    ``depth_bound`` counts nested calls as the engine's ``max_depth`` does.
+    Enlarging the universe or the depth bound never removes answers.
+    Raises OracleOverflow past the work limit.
     """
     enum = _Enumerator(program, universe, work_limit)
     return enum.prove(goal, {}, depth_bound)

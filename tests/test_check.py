@@ -71,7 +71,7 @@ def test_uncertifiable_search_is_reported_incomplete():
     assert report.status == "incomplete"
 
 
-@pytest.mark.parametrize("edges, max_depth", [(6, 64), (6, 8)])
+@pytest.mark.parametrize("edges, max_depth", [(6, 64), (6, 8), (20, 64)])
 def test_recursion_the_engine_completes_matches_the_oracle(edges, max_depth):
     # the oracle counts nested calls as the engine does, so it finds every
     # derivation of a search that was not cut

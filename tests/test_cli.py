@@ -403,8 +403,8 @@ NAT = "nat(z).\nnat(s(X)) :- nat(X).\n"
     # universals, conjunctions and existentials add no depth
     ("all* A, B, C, D : w(A, B, C, D) :- v(A), v(B), v(C), v(D).\nv(a).\n",
      "w(a, a, a, a)", "2", 0, ["D = a", "C = a", "B = a", "A = a"]),
-    # a recursion is enumerated down to the limit
-    (NAT, "nat(X)", "3", 0, ["X = z", "X = s(z)", "X = s(s(z))"]),
+    # a recursion is enumerated down to the limit, and the cut is reported
+    (NAT, "nat(X)", "3", 0, ["X = z", "X = s(z)", "X = s(s(z))", "incomplete search."]),
 ])
 def test_depth_limit_counts_nested_calls(program, query, depth, code, lines, tmp_path, capsys):
     mod = tmp_path / "m.plt"
@@ -412,6 +412,41 @@ def test_depth_limit_counts_nested_calls(program, query, depth, code, lines, tmp
     argv = ["--module", str(mod), "--query", query, "--all", "--max-depth", depth]
     assert main(argv) == code
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_run_json_reports_a_cut_after_the_answers_it_printed(tmp_path, capsys):
+    # the text form ends with "incomplete search." (the nat case above)
+    mod = tmp_path / "m.plt"
+    mod.write_text(NAT, encoding="utf-8")
+    argv = ["--module", str(mod), "--query", "nat(X)", "--all", "--max-depth", "3",
+            "--format", "json"]
+    assert main(argv) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    for doc in docs:
+        jsonschema.validate(doc, TRACE_SCHEMA)
+    assert [d["answers"][0]["term"] for d in docs[:3]] == ["z", "s(z)", "s(s(z))"]
+    assert [d["status"] for d in docs[:3]] == ["success"] * 3
+    assert docs[3:] == [{"answers": [], "trace": [], "status": "incomplete"}]
+
+
+def _line(tmp_path, edges):
+    mod = tmp_path / f"line{edges}.plt"
+    mod.write_text("".join(f"edge(n{i}, n{i + 1}).\n" for i in range(edges)) + (
+        "path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z).\n"
+    ), encoding="utf-8")
+    return str(mod)
+
+
+def test_proof_depth_does_not_reach_pythons_recursion_limit(tmp_path, capsys):
+    # 2,001 nested calls, twice Python's default limit of 1,000 frames
+    assert main(["--module", _line(tmp_path, 2000), "--query", "path(n0, n2000)"]) == 0
+    assert capsys.readouterr().out == "yes.\n"
+
+
+def test_every_answer_of_a_deep_recursion_comes_in_order(tmp_path, capsys):
+    argv = ["--module", _line(tmp_path, 300), "--query", "path(n0, Y)", "--all"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [f"Y = n{i}" for i in range(1, 301)]
 
 
 def test_repl_more_reports_the_depth_limit_after_the_last_answer(tmp_path):

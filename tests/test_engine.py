@@ -1,6 +1,7 @@
 """Proof search: recorded steps, answer assembly, and search behaviour."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from prologtheta.terms import Const, Var, is_ground, reset_fresh_counters
 from prologtheta.syntax import Atom, Conj, Exists, Forall, desugar_query_vars
 from prologtheta.parser import format_goal, format_term, parse_query
 from prologtheta.loader import Program, load
+from prologtheta.cli import solution_json
 from prologtheta.engine import (
     EngineError,
     ProofSearch,
@@ -538,3 +540,85 @@ def test_determinism_of_solutions_and_traces():
         ]
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# Clause renaming and head unification.
+
+RENAMED = (
+    "all X : all* Y : all Z : r(X, Z) :- q(X, Y), s(Y, Z).\n"
+    "q(a, b).\nq(a, c).\ns(b, d).\ns(c, e).\n"
+)
+# each Forall layer shows its clause with only the outer binders renamed;
+# the second answer backtracks into q(X, Y), so Y is rebound under the
+# same clause try
+RENAMED_PROOFS = [
+    "1. bc(q(a, b), m, q(a, b), nil)\n"
+    "2. pv(m, q(a, b), nil)\n"
+    "3. bc(s(b, d), m, s(b, d), nil)\n"
+    "4. pv(m, s(b, d), nil)\n"
+    "5. pv(m, (q(a, b), s(b, d)), nil)\n"
+    "6. bc(r(a, d) :- q(a, b), s(b, d), m, r(a, d), nil)\n"
+    "7. bc(all Z : r(a, Z) :- q(a, b), s(b, Z), m, r(a, d), nil)\n"
+    "8. bc(all* Y : all Z : r(a, Z) :- q(a, Y), s(Y, Z), m, r(a, d), <Y, b>)\n"
+    "9. bc(all X : all* Y : all Z : r(X, Z) :- q(X, Y), s(Y, Z), m, r(a, d), nil)\n"
+    "10. pv(m, r(a, d), nil)\n"
+    "11. pv(m, some* W : r(a, W), <W, d>)\n"
+    "answer: {Y = b, W = d}",
+    "1. bc(q(a, c), m, q(a, c), nil)\n"
+    "2. pv(m, q(a, c), nil)\n"
+    "3. bc(s(c, e), m, s(c, e), nil)\n"
+    "4. pv(m, s(c, e), nil)\n"
+    "5. pv(m, (q(a, c), s(c, e)), nil)\n"
+    "6. bc(r(a, e) :- q(a, c), s(c, e), m, r(a, e), nil)\n"
+    "7. bc(all Z : r(a, Z) :- q(a, c), s(c, Z), m, r(a, e), nil)\n"
+    "8. bc(all* Y : all Z : r(a, Z) :- q(a, Y), s(Y, Z), m, r(a, e), <Y, c>)\n"
+    "9. bc(all X : all* Y : all Z : r(X, Z) :- q(X, Y), s(Y, Z), m, r(a, e), nil)\n"
+    "10. pv(m, r(a, e), nil)\n"
+    "11. pv(m, some* W : r(a, W), <W, e>)\n"
+    "answer: {Y = c, W = e}",
+]
+
+
+def _json_step(index, kind, clause, goal, theta=None):
+    return {"index": index, "kind": kind, "clause": clause, "goal": goal,
+            "theta": None if theta is None else {"var": theta[0], "term": theta[1]}}
+
+
+def _renamed_json(y, z):
+    return {
+        "answers": [{"var": "Y", "term": y}, {"var": "W", "term": z}],
+        "trace": [
+            _json_step(1, "bc", f"q(a, {y})", f"q(a, {y})"),
+            _json_step(2, "pv", "m", f"q(a, {y})"),
+            _json_step(3, "bc", f"s({y}, {z})", f"s({y}, {z})"),
+            _json_step(4, "pv", "m", f"s({y}, {z})"),
+            _json_step(5, "pv", "m", f"q(a, {y}), s({y}, {z})"),
+            _json_step(6, "bc", f"r(a, {z}) :- q(a, {y}), s({y}, {z})", f"r(a, {z})"),
+            _json_step(7, "bc", f"all Z : r(a, Z) :- q(a, {y}), s({y}, Z)", f"r(a, {z})"),
+            _json_step(8, "bc", "all* Y : all Z : r(a, Z) :- q(a, Y), s(Y, Z)",
+                       f"r(a, {z})", ("Y", y)),
+            _json_step(9, "bc", "all X : all* Y : all Z : r(X, Z) :- q(X, Y), s(Y, Z)",
+                       f"r(a, {z})"),
+            _json_step(10, "pv", "m", f"r(a, {z})"),
+            _json_step(11, "pv", "m", "some* W : r(a, W)", ("W", z)),
+        ],
+        "status": "success",
+    }
+
+
+def test_forall_layers_show_only_the_outer_binders_renamed():
+    _, _, session = ask(RENAMED, "r(a, W)", name="m")
+    sols = list(session)
+    assert [format_proof(sol.trace, sol.answer) for sol in sols] == RENAMED_PROOFS
+    assert [solution_json(sol, "success") for sol in sols] == [
+        _renamed_json("b", "d"), _renamed_json("c", "e")]
+
+
+def test_a_universal_met_inside_a_bound_head_subterm_keeps_the_occurs_check():
+    # Y is bound to f(X) first, so the second X must not bind to g(Y) unchecked
+    lenient = SolveConfig(max_solutions=None, groundness_mode="lenient")
+    _, _, checked = ask("p(f(X), X).", "p(Y, g(Y))", lenient)
+    assert answers(checked) == []
+    _, _, unchecked = ask("p(f(X), X).", "p(Y, g(Y))", replace(lenient, occurs_check=False))
+    assert answers(unchecked) == [[("Y", "f(g(Y))")]]
