@@ -218,9 +218,11 @@ def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             printer.bold(line)
         if args.trace:
             printer.plain(format_proof(sol.trace, sol.answer))
-    if found and not session.incomplete:
+    # a cut search says so, also after the answers it found, unless it
+    # stopped at --max-solutions before running out of answers
+    full = config.max_solutions is not None and session.solutions_found >= config.max_solutions
+    if found and (full or not session.incomplete):
         return 0
-    # a cut search says so, also after the answers it found
     if as_json:
         status = "incomplete" if session.incomplete else "fail"
         print(json.dumps(solution_json(None, status)), file=out)

@@ -53,7 +53,7 @@ class EngineError(Exception):
 @dataclass(frozen=True)
 class SolveConfig:
     groundness_mode: str = "strict"  # or "lenient"
-    max_depth: Optional[int] = None  # None = unlimited
+    max_depth: Optional[int] = None  # None = up to DEPTH_CAP
     max_solutions: Optional[int] = 1  # None = unlimited
     occurs_check: bool = True
     trace_enabled: bool = True
@@ -68,6 +68,11 @@ class SolveConfig:
 
 
 Theta = tuple[str, Term]
+
+# The depth limit of a search with no max_depth: a proof this deep holds
+# about 10 MB, so a search that never ends is cut and reported incomplete
+# in a fraction of a second instead of filling memory.
+DEPTH_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -171,14 +176,10 @@ class ProofSearch:
         continuation that proves its body one call deeper, records its bc
         steps and the atom's pv step, then goes on with ``cont``; or None
         when the head does not match."""
-        template = self.program.templates.get(id(clause))
-        if template is None:  # the Forall layers, outermost first, and the core
-            layers, core = [], clause
-            while isinstance(core, Forall):
-                layers.append(core)
-                core = core.inner
-            template = self.program.templates[id(clause)] = (tuple(layers), core)
-        layers, core = template
+        layers, core = [], clause  # the Forall layers, outermost first, and the core
+        while type(core) is Forall:
+            layers.append(core)
+            core = core.inner
         renaming = {layer.var.id: fresh_var(layer.var.name) for layer in layers}
         if core.head.pred != goal.pred or len(core.head.args) != len(goal.args):
             return None
@@ -189,7 +190,7 @@ class ProofSearch:
         witnesses = list(renaming.values())
         thetas = [(layer.var.name, w) if layer.noisy else None
                   for layer, w in zip(layers, witnesses)] + [None]  # the core's last
-        group = [("bc", _Layer(template, witnesses, i) if i else clause, goal, thetas[i])
+        group = [("bc", _Layer((layers, core), witnesses, i) if i else clause, goal, thetas[i])
                  for i in range(len(layers), -1, -1)]
         group.append(("pv", self.program, goal, None))
         if isinstance(core, Fact):
@@ -229,7 +230,7 @@ class ProofSearch:
         the resolved atom's for a rule body's), ``(None, steps, next)``
         records steps; an existential's witness is a fresh variable."""
         program, steps, bindings, trail = self.program, self.steps, self.bindings, self.trail
-        limit = self.config.max_depth
+        limit = self.config.max_depth or DEPTH_CAP  # max_depth is None or positive
         choices: list[list] = []  # [trail mark, step count, atom, depth, clauses, next, cont]
         cont: Optional[tuple] = (goal, 1, None)
         while True:
@@ -250,7 +251,7 @@ class ProofSearch:
                     theta = (goal.var.name, witness) if goal.noisy else None
                     cont = (body, depth, (None, (("pv", program, goal, theta),), cont))
                     continue
-                if limit is not None and depth > limit:
+                if depth > limit:
                     self.depth_clipped = True
                 else:
                     candidates = self.candidates(goal)  # ordered clause trial
@@ -316,8 +317,8 @@ class SolveSession:
 
     Iterate it, or call ``next_solution()`` which returns None when the
     stream ends; ``incomplete`` tells whether any branch was cut by the
-    depth limit or by Python's recursion limit, distinguishing a bounded
-    search from finite failure.
+    depth limit (``DEPTH_CAP`` when there is none) or by Python's recursion
+    limit, distinguishing a bounded search from finite failure.
     """
 
     def __init__(self, program: Program, goal: Goal, config: SolveConfig):

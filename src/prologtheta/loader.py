@@ -91,9 +91,7 @@ class Program:
     ``arity_table`` maps each predicate to its arity at first use, as the
     well-formedness check built it; readers must not extend it.  ``index``
     (a ``PredicateIndex`` per predicate) is derived from ``clauses`` on
-    construction.  ``templates`` is the engine's cache of each clause's
-    universals and core, keyed by clause id and filled on the clause's
-    first try.
+    construction.
     """
 
     name: str
@@ -101,7 +99,6 @@ class Program:
     unknown_table: dict
     arity_table: dict
     index: dict = field(init=False, compare=False, repr=False)
-    templates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "index", _index_clauses(self.clauses))

@@ -429,6 +429,24 @@ def test_run_json_reports_a_cut_after_the_answers_it_printed(tmp_path, capsys):
     assert docs[3:] == [{"answers": [], "trace": [], "status": "incomplete"}]
 
 
+@pytest.mark.parametrize("extra, lines", [
+    # the default --max-solutions 1 stops at an answer, whatever lies past it
+    ([], ["X = b"]),
+    (["--format", "json"], None),
+    # a stream that runs out before --max-solutions says it was cut
+    (["--max-solutions", "2"], ["X = b", "incomplete search."]),
+])
+def test_run_reports_a_cut_only_when_the_answers_ran_out(extra, lines, tmp_path, capsys):
+    mod = tmp_path / "m.plt"
+    mod.write_text("p(X) :- q(X).\nq(a).\np(b).\n", encoding="utf-8")
+    assert main(["--module", str(mod), "--query", "p(X)", "--max-depth", "1", *extra]) == 0
+    out = capsys.readouterr().out.splitlines()
+    if lines is None:
+        assert [json.loads(line)["status"] for line in out] == ["success"]
+    else:
+        assert out == lines
+
+
 def _line(tmp_path, edges):
     mod = tmp_path / f"line{edges}.plt"
     mod.write_text("".join(f"edge(n{i}, n{i + 1}).\n" for i in range(edges)) + (
@@ -550,14 +568,12 @@ def _nested(depth):
 @pytest.mark.parametrize(
     "program, args, code, stdout",
     [
-        # the search overflows Python's stack: a cut search, not a failure
-        ("p(X) :- p(X).\n", ["--query", "p(a)", "--max-depth", "100000"],
-         3, "incomplete search.\n"),
-        ("p(X) :- p(X).\n", ["--query", "p(a)", "--max-depth", "100000",
-                             "--format", "json"],
+        # with no --max-depth a search that never ends is cut at the
+        # engine's depth cap: a cut search, not a failure
+        ("p(X) :- p(X).\n", ["--query", "p(a)"], 3, "incomplete search.\n"),
+        ("p(X) :- p(X).\n", ["--query", "p(a)", "--format", "json"],
          3, '{"answers": [], "trace": [], "status": "incomplete"}\n'),
-        ("p(X) :- p(X).\n", ["check", "--query", "p(a)", "--max-depth", "100000"],
-         3, None),
+        ("p(X) :- p(X).\n", ["check", "--query", "p(a)"], 3, None),
         # loading a term nested too deeply is an error
         (f"p({_nested(600)}).\n", ["--query", "p(X)"], 2, ""),
         (f"p({_nested(600)}).\n", ["check", "--query", "p(X)"], 2, ""),
@@ -581,19 +597,38 @@ def test_recursion_overflow_maps_to_an_exit_code_without_traceback(
         assert proc.stderr.decode().startswith("error: ")
 
 
+def test_answers_nested_past_pythons_limit_end_a_search_as_a_cut(tmp_path, cli_env):
+    # each answer is one s(...) deeper; resolving one overflows Python's
+    # stack long before the depth cap
+    module = tmp_path / "nat.plt"
+    module.write_text(NAT, encoding="utf-8")
+    proc = _run_cli(["--module", str(module), "--query", "nat(X)", "--all"], tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    lines = proc.stdout.decode().splitlines()
+    assert lines[:2] == ["X = z", "X = s(z)"] and lines[-1] == "incomplete search."
+    assert 100 < len(lines) < 10_000
+
+
 def test_repl_reports_recursion_overflow_and_keeps_reading(tmp_path):
     mod = tmp_path / "m.plt"
-    mod.write_text("p(X) :- p(X).\nq(a).\nq(b).\n", encoding="utf-8")
+    mod.write_text("p(X) :- p(X).\nq(a).\nq(b).\n" + NAT, encoding="utf-8")
     deep = tmp_path / "deep.plt"
     deep.write_text(f"r({_nested(600)}).\n", encoding="utf-8")
     script = (
-        ":set max_depth 100000\n:set max_solutions all\n"
-        f"p(a).\n:more\nq(X).\n:load {deep}\n:more\n:quit\n"
+        ":set max_solutions all\n"
+        f"p(a).\n:more\nq(X).\n:load {deep}\n:more\n"
+        "nat(X).\n" + ":more\n" * 2000 + ":quit\n"
     )
     code, out = _repl(script, modules=[str(mod)])
     assert code == 0
-    # the overflowing search is cut, not an error, and leaves no query behind
-    assert "incomplete search.\n?- no active query." in out
+    # the endless search is cut at the depth cap, not an error, and leaves
+    # no query behind
+    assert out.index("?- incomplete search.\n?- no active query.") < out.index("X = a")
     # a load that overflows is an error that keeps the running query
     assert "error: maximum recursion depth exceeded" in out
     assert out.index("X = a") < out.index("error: ") < out.index("X = b")
+    # answers nested past Python's stack end the stream as a cut
+    rest = out[out.index("X = z"):]
+    assert "?- incomplete search.\n?- no active query." in rest
+    assert "error: " not in rest
