@@ -185,10 +185,6 @@ def _config_from_args(args: argparse.Namespace, trace_enabled: bool) -> SolveCon
     )
 
 
-def _load_modules(paths) -> list[Program]:
-    return [load_path(p) for p in paths]
-
-
 # ---------------------------------------------------------------------------
 # run
 
@@ -199,7 +195,7 @@ def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     try:
         # only --trace and JSON print a trace, so only they build one
         config = _config_from_args(args, trace_enabled=args.trace or as_json)
-        state = SessionState(_load_modules(args.module), config)
+        state = SessionState([load_path(p) for p in args.module], config)
         if not args.query:
             print("error: run needs --query", file=err)
             return 2
@@ -251,7 +247,7 @@ anything else is a query (trailing '.' optional)."""
 def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) -> int:
     printer = _Printer(out)
     try:
-        state = SessionState(_load_modules(args.module), _config_from_args(args, False))
+        state = SessionState([load_path(p) for p in args.module], _config_from_args(args, False))
     except (ParseError, LoadError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -369,7 +365,7 @@ def run_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         print("error: check needs --query or --fuzz", file=err)
         return 2
     try:
-        program = _combine(_load_modules(args.module))
+        program = _combine([load_path(p) for p in args.module])
         goal = desugar_query_vars(parse_query(args.query))
         if args.universe_depth == 0 and has_compound_terms(program, goal):
             print(

@@ -3,8 +3,8 @@
 Loading replaces don't-know placeholders during an initialization phase:
 every name declared with ``unknown X, Y.`` maps to one shared fresh
 Unknown across the whole module, and every ``*`` argument gets its own
-fresh Unknown.  Clause variables are then closed as silent universals and
-the result is checked for well-formedness.
+fresh Unknown.  The same pass over each clause closes its variables as
+silent universals; the result is then checked for well-formedness.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .terms import Compound, Const, Star, Term, Unknown, Var, fresh_unknown
-from .syntax import Clause, Forall, binder_names, desugar_clause_vars, map_terms, wellformed
+from .terms import Compound, Const, Term, Unknown, fresh_unknown
+from .syntax import Clause, Forall, desugar_clause_vars, wellformed
 from .parser import ParseError, ParseIssue, SourceModule, parse_module
 
 
@@ -108,17 +108,6 @@ class Program:
         return dict(self.arity_table)
 
 
-def _skolem_term(term: Term, origin: str, table: dict) -> Term:
-    # Safe as a plain name lookup: binder collisions were rejected already.
-    if isinstance(term, Star):
-        return fresh_unknown(origin)
-    if isinstance(term, Var):
-        return table.get(term.name, term)
-    if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_skolem_term(a, origin, table) for a in term.args))
-    return term
-
-
 def skolemize(module: SourceModule) -> Program:
     """Close a source module into a Program.
 
@@ -128,24 +117,15 @@ def skolemize(module: SourceModule) -> Program:
     an explicitly bound clause variable, or when a clause is ill-formed.
     """
     issues: list[ParseIssue] = []
-    table = {name: fresh_unknown(module.name) for name in module.unknown_decls}
-
-    spans = list(module.source_spans) + [(0, 0)] * (
-        len(module.raw_clauses) - len(module.source_spans)
-    )
+    table = {name: fresh_unknown() for name in module.unknown_decls}
     closed: list[Clause] = []
     arities: dict[str, int] = {}
-    for raw, (line, col) in zip(module.raw_clauses, spans):
-        bound = binder_names(raw)
-        clash = sorted(bound & set(module.unknown_decls))
-        if clash:
-            issues.append(
-                ParseIssue(f"ambiguous unknown scope: {', '.join(clash)}", line, col)
-            )
+    for raw, (line, col) in zip(module.raw_clauses, module.source_spans):
+        try:
+            clause = desugar_clause_vars(raw, table)
+        except ValueError as err:
+            issues.append(ParseIssue(str(err), line, col))
             continue
-        # each ``*`` draws its own Unknown, in textual order
-        clause = map_terms(raw, lambda t: _skolem_term(t, module.name, table))
-        clause = desugar_clause_vars(clause)
         problems = wellformed(clause, arities=arities, allow_unknowns=True)
         issues.extend(ParseIssue(p, line, col) for p in problems)
         closed.append(clause)
@@ -162,14 +142,6 @@ def load(source: str, *, name: Optional[str] = None) -> Program:
         module = parse_module(source, default_name=name or "main")
     except ParseError as err:
         raise LoadError(err.issues) from None
-    if name is not None and not module.had_header:
-        module = SourceModule(
-            name=name,
-            unknown_decls=module.unknown_decls,
-            raw_clauses=module.raw_clauses,
-            source_spans=module.source_spans,
-            had_header=False,
-        )
     return skolemize(module)
 
 
@@ -177,7 +149,7 @@ def load_path(path: Union[str, Path]) -> Program:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise LoadError([ParseIssue(f"cannot read {path}: {err}", 0, 0)]) from None
     default_name = path.stem or "main"
     return load(text, name=default_name)

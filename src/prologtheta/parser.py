@@ -50,13 +50,15 @@ class ParseError(Exception):
 
 @dataclass(frozen=True)
 class SourceModule:
-    """A parsed module, before Skolemization and variable closure."""
+    """A parsed module, before Skolemization and variable closure.
+
+    ``source_spans`` holds the line and column of each raw clause.
+    """
 
     name: str
     unknown_decls: tuple[str, ...]
     raw_clauses: tuple[Clause, ...]
     source_spans: tuple[tuple[int, int], ...]
-    had_header: bool = True
 
 
 @dataclass
@@ -67,90 +69,72 @@ class _Token:
     col: int
 
 
+_PUNCTUATION = {
+    "(": "lparen",
+    ")": "rparen",
+    ",": "comma",
+    ".": "period",
+    ":": "colon",
+    "*": "star",
+}
+
+
 def _lex(text: str) -> tuple[list[_Token], list[ParseIssue]]:
     """Tokenize, collecting lexical issues instead of stopping at the first.
 
     Offending characters are skipped so the parser can keep reporting
-    later problems in the same input.
+    later problems in the same input.  A column is the offset from the
+    start of the current line, which only a newline in whitespace moves.
     """
     tokens: list[_Token] = []
     issues: list[ParseIssue] = []
-    line, col, i, n = 1, 1, 0, len(text)
-
-    def advance(k: int = 1) -> None:
-        nonlocal line, col, i
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
+    line, line_start, i, n = 1, 0, 0, len(text)
     while i < n:
         ch = text[i]
+        col = i - line_start + 1
+        j = i + 1  # the end of this lexeme
         if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch.isdigit():
-            j = i
+            if ch == "\n":
+                line += 1
+                line_start = j
+        elif ch == "%":
+            j = text.find("\n", i)
+            if j < 0:
+                j = n
+        elif ch.isdigit():
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            tokens.append(_Token("int", text[i:j], line, col))
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
             if word == "_":
-                tokens.append(_Token("anon", word, start_line, start_col))
+                tokens.append(_Token("anon", word, line, col))
             elif word[0] == "_":
-                issues.append(
-                    ParseIssue(f"invalid identifier {word!r}", start_line, start_col)
-                )
+                issues.append(ParseIssue(f"invalid identifier {word!r}", line, col))
             elif word[0].isupper():
-                tokens.append(_Token("upper", word, start_line, start_col))
+                tokens.append(_Token("upper", word, line, col))
             else:
                 # some* / all* lex as single words when the star is adjacent
                 if word in ("some", "all") and j < n and text[j] == "*":
                     word += "*"
                     j += 1
-                tokens.append(_Token("lower", word, start_line, start_col))
-            advance(j - i)
-            continue
-        if ch == ":" and i + 1 < n and text[i + 1] == "-":
-            tokens.append(_Token("turnstile", ":-", start_line, start_col))
-            advance(2)
-            continue
-        simple = {
-            "(": "lparen",
-            ")": "rparen",
-            ",": "comma",
-            ".": "period",
-            ":": "colon",
-            "*": "star",
-        }
-        if ch in simple:
-            tokens.append(_Token(simple[ch], ch, start_line, start_col))
-            advance()
-            continue
-        if ch == "?":
+                tokens.append(_Token("lower", word, line, col))
+        elif text.startswith(":-", i):
+            j += 1
+            tokens.append(_Token("turnstile", ":-", line, col))
+        elif ch in _PUNCTUATION:
+            tokens.append(_Token(_PUNCTUATION[ch], ch, line, col))
+        elif ch == "?":
             issues.append(
                 ParseIssue("reserved token '?' (don't-know constants cannot be "
-                           "written in source)", start_line, start_col)
+                           "written in source)", line, col)
             )
-            advance()
-            continue
-        issues.append(ParseIssue(f"unexpected character {ch!r}", start_line, start_col))
-        advance()
-    tokens.append(_Token("eof", "", line, col))
+        else:
+            issues.append(ParseIssue(f"unexpected character {ch!r}", line, col))
+        i = j
+    tokens.append(_Token("eof", "", line, n - line_start + 1))
     return tokens, issues
 
 
@@ -160,6 +144,7 @@ class _Parser:
         self.pos = 0
         # provisional per-input variable table: one Var per name
         self.var_table: dict[str, Var] = {}
+        self.stars = 0  # '*' arguments parsed so far
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -207,20 +192,14 @@ class _Parser:
             if not allow_star:
                 self.fail("placeholder '*' is only allowed in fact arguments")
             self.take()
+            self.stars += 1
             return Star()
         if tok.kind == "lower":
             if tok.text in RESERVED_WORDS:
                 self.fail(f"reserved word {tok.text!r} cannot be used as a term")
             self.take()
-            if self.peek().kind == "lparen":
-                self.take()
-                args = [self.parse_term(allow_star)]
-                while self.peek().kind == "comma":
-                    self.take()
-                    args.append(self.parse_term(allow_star))
-                self.expect("rparen", "')'")
-                return Compound(tok.text, tuple(args))
-            return Const(tok.text)
+            args = self.parse_args(allow_star)
+            return Compound(tok.text, args) if args else Const(tok.text)
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
     def parse_atom(self, allow_star: bool) -> Atom:
@@ -230,15 +209,19 @@ class _Parser:
         if tok.text in RESERVED_WORDS:
             self.fail(f"reserved word {tok.text!r} cannot be used as a predicate")
         self.take()
-        args: list[Term] = []
-        if self.peek().kind == "lparen":
+        return Atom(tok.text, self.parse_args(allow_star))
+
+    def parse_args(self, allow_star: bool) -> tuple[Term, ...]:
+        """The parenthesized argument list after a name; () when none follows."""
+        if self.peek().kind != "lparen":
+            return ()
+        self.take()
+        args = [self.parse_term(allow_star)]
+        while self.peek().kind == "comma":
             self.take()
             args.append(self.parse_term(allow_star))
-            while self.peek().kind == "comma":
-                self.take()
-                args.append(self.parse_term(allow_star))
-            self.expect("rparen", "')'")
-        return Atom(tok.text, tuple(args))
+        self.expect("rparen", "')'")
+        return tuple(args)
 
     # -- goals ------------------------------------------------------------
 
@@ -287,10 +270,11 @@ class _Parser:
                 names.append(self.expect("upper", "a variable"))
             self.expect("colon", "':'")
             prefixes.extend((self.var_for(t.text), noisy) for t in names)
+        stars = self.stars
         head = self.parse_atom(allow_star=True)
         clause: Clause
         if self.peek().kind == "turnstile":
-            if any(isinstance(t, Star) or _term_has_star(t) for t in head.args):
+            if self.stars > stars:
                 self.fail("placeholder '*' is only allowed in fact arguments")
             self.take()
             body = self.parse_goal_group()
@@ -301,14 +285,6 @@ class _Parser:
         for var, noisy in reversed(prefixes):
             clause = Forall(var, clause, noisy)
         return clause
-
-
-def _term_has_star(term: Term) -> bool:
-    if isinstance(term, Star):
-        return True
-    if isinstance(term, Compound):
-        return any(_term_has_star(a) for a in term.args)
-    return False
 
 
 def parse_module(text: str, default_name: str = "main") -> SourceModule:
@@ -382,7 +358,6 @@ def parse_module(text: str, default_name: str = "main") -> SourceModule:
         unknown_decls=tuple(unknown_decls),
         raw_clauses=tuple(clauses),
         source_spans=tuple(spans),
-        had_header=had_header,
     )
 
 
@@ -439,10 +414,14 @@ def format_goal(goal: Goal) -> str:
     if isinstance(goal, Atom):
         return format_atom(goal)
     if isinstance(goal, Conj):
-        left = format_goal(goal.left)
-        if isinstance(goal.left, (Conj, Exists)):
-            left = f"({left})"
-        return f"{left}, {format_goal(goal.right)}"
+        # a rule body is a right-nested Conj chain: walk its spine in a loop
+        parts = []
+        while isinstance(goal, Conj):
+            left = format_goal(goal.left)
+            parts.append(f"({left})" if isinstance(goal.left, (Conj, Exists)) else left)
+            goal = goal.right
+        parts.append(format_goal(goal))
+        return ", ".join(parts)
     if isinstance(goal, Exists):
         binder = "some*" if goal.noisy else "some"
         return f"{binder} {goal.var.name} : {format_goal(goal.body)}"

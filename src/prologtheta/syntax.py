@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .terms import Compound, Star, Term, Unknown, Var, fresh_var
+from .terms import Compound, Star, Term, Unknown, Var, fresh_unknown, fresh_var
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,16 @@ def _fold(node, in_goal: bool, on_atom, on_binder, scope):
         if isinstance(node, Atom):
             return on_atom(node, scope)
         if isinstance(node, Conj):
-            return Conj(
-                _fold(node.left, True, on_atom, on_binder, scope),
-                _fold(node.right, True, on_atom, on_binder, scope),
-            )
+            # a rule body is a right-nested Conj chain: walk its spine in a
+            # loop, so that a long body costs no Python stack
+            lefts = []
+            while isinstance(node, Conj):
+                lefts.append(_fold(node.left, True, on_atom, on_binder, scope))
+                node = node.right
+            out = _fold(node, True, on_atom, on_binder, scope)
+            while lefts:
+                out = Conj(lefts.pop(), out)
+            return out
         if isinstance(node, Exists):
             var, noisy, inner = on_binder(node.var, node.noisy, scope)
             return Exists(var, _fold(node.body, True, on_atom, on_binder, inner), noisy)
@@ -162,14 +168,22 @@ def subst_term(mapping: dict, term: Term) -> Term:
 
 
 class _FreeVars:
-    """Free names and anonymous occurrences in first-occurrence order."""
+    """Free names and anonymous occurrences in first-occurrence order.
 
-    def __init__(self) -> None:
+    A free name declared in ``unknowns`` is that Unknown, not a variable,
+    and a binder that reuses a declared name is collected in ``clashes``.
+    With ``skolemize``, each ``*`` becomes a fresh Unknown.
+    """
+
+    def __init__(self, unknowns: dict, skolemize: bool) -> None:
         self.named: dict[str, Var] = {}
         self.order: list[Var] = []
+        self.unknowns = unknowns
+        self.skolemize = skolemize
+        self.clashes: set[str] = set()
 
-    def for_name(self, name: str) -> Var:
-        v = self.named.get(name)
+    def for_name(self, name: str) -> Term:
+        v = self.named.get(name) or self.unknowns.get(name)
         if v is None:
             v = fresh_var(name)
             self.named[name] = v
@@ -197,15 +211,9 @@ def _desugar_term(term: Term, env: dict, active: set, free: _FreeVars) -> Term:
         return Compound(
             term.functor, tuple(_desugar_term(a, env, active, free) for a in term.args)
         )
+    if isinstance(term, Star) and free.skolemize and not free.clashes:
+        return fresh_unknown()
     return term
-
-
-def _rebind(var: Var, noisy: bool, scope: tuple) -> tuple:
-    # Keep the parsed binder variable unless an enclosing binder already
-    # uses the same id (same-name nesting shares provisional ids).
-    env, active = scope
-    v = fresh_var(var.name) if var.id in active else var
-    return v, noisy, ({**env, var.name: v}, active | {v.id})
 
 
 def _desugar(node, free: _FreeVars):
@@ -213,18 +221,35 @@ def _desugar(node, free: _FreeVars):
         env, active = scope
         return Atom(a.pred, tuple(_desugar_term(t, env, active, free) for t in a.args))
 
-    return fold(node, on_atom, _rebind, ({}, set()))
+    def on_binder(var: Var, noisy: bool, scope: tuple) -> tuple:
+        # Keep the parsed binder variable unless an enclosing binder already
+        # uses the same id (same-name nesting shares provisional ids).
+        env, active = scope
+        if var.name in free.unknowns:
+            free.clashes.add(var.name)
+        v = fresh_var(var.name) if var.id in active else var
+        return v, noisy, ({**env, var.name: v}, active | {v.id})
+
+    return fold(node, on_atom, on_binder, ({}, set()))
 
 
-def desugar_clause_vars(raw_clause: Clause) -> Clause:
+def desugar_clause_vars(raw_clause: Clause, unknowns: Optional[dict] = None) -> Clause:
     """Close a clause: free and anonymous variables become silent universals.
 
     Explicit ``all`` / ``all*`` binders are preserved; each ``_`` occurrence
     gets its own quantifier.  Closure wraps the clause in first-occurrence
     order, outermost first.  Already-closed clauses come back unchanged.
+
+    Loading Skolemizes in the same pass: a free name declared in
+    ``unknowns`` becomes its Unknown, and each ``*`` a fresh Unknown in
+    textual order.  Raises ValueError when an explicit binder reuses a
+    declared name; a fact's binders all precede its ``*``s, so a rejected
+    fact draws no Unknown.
     """
-    free = _FreeVars()
+    free = _FreeVars(unknowns or {}, skolemize=True)
     out = _desugar(raw_clause, free)
+    if free.clashes:
+        raise ValueError(f"ambiguous unknown scope: {', '.join(sorted(free.clashes))}")
     for v in reversed(free.order):
         out = Forall(v, out, noisy=False)
     return out
@@ -236,7 +261,7 @@ def desugar_query_vars(raw_goal: Goal) -> Goal:
     ``_`` occurrences become silent existentials; named free variables
     become noisy ones.  Explicit ``some`` / ``some*`` binders are preserved.
     """
-    free = _FreeVars()
+    free = _FreeVars({}, skolemize=False)
     out = _desugar(raw_goal, free)
     for v in reversed(free.order):
         out = Exists(v, out, noisy=v.name != "_")
@@ -305,15 +330,3 @@ def wellformed(
 def silent_twin(node: Union[Goal, Clause]) -> Union[Goal, Clause]:
     """Copy with every noisy quantifier replaced by its silent version."""
     return fold(node, lambda a, _: a, lambda var, _, scope: (var, False, scope))
-
-
-def binder_names(clause: Clause) -> set:
-    """Names bound by explicit quantifiers anywhere in the clause."""
-    names: set[str] = set()
-
-    def visit(var: Var, noisy: bool, scope) -> tuple:
-        names.add(var.name)
-        return var, noisy, scope
-
-    fold(clause, lambda a, _: a, visit)
-    return names

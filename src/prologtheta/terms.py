@@ -42,7 +42,6 @@ class Unknown:
     """
 
     id: int
-    origin: str = ""
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,8 @@ def fresh_var(hint: str = "_") -> Var:
     return Var(hint, next(_var_ids))
 
 
-def fresh_unknown(origin: str = "") -> Unknown:
-    return Unknown(next(_unknown_ids), origin)
+def fresh_unknown() -> Unknown:
+    return Unknown(next(_unknown_ids))
 
 
 def reset_fresh_counters() -> None:

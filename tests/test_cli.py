@@ -532,9 +532,10 @@ def test_repl_rejects_max_solutions_below_one_and_keeps_the_setting(tmp_path):
     assert "no more solutions." in out
 
 
-def _run_cli(args, cwd, env):
+def _run_cli(args, cwd, env, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "prologtheta.cli", *args],
+        input=stdin,
         capture_output=True,
         cwd=cwd,
         env=env,
@@ -632,3 +633,29 @@ def test_repl_reports_recursion_overflow_and_keeps_reading(tmp_path):
     rest = out[out.index("X = z"):]
     assert "?- incomplete search.\n?- no active query." in rest
     assert "error: " not in rest
+
+
+@pytest.mark.parametrize("command, code", [("run", 2), ("check", 2), ("repl", 0)])
+def test_a_module_that_is_not_utf8_is_an_error_without_traceback(
+    command, code, tmp_path, cli_env
+):
+    module = tmp_path / "bad.plt"
+    module.write_bytes(b"\xffp(a).\n")
+    if command == "repl":
+        proc = _run_cli(["repl"], tmp_path, cli_env, stdin=f":load {module}\n:quit\n".encode())
+        printed = proc.stdout.decode().split("?- ")[1]
+    else:
+        args = [command, "--module", str(module), "--query", "p(X)"]
+        proc = _run_cli(args, tmp_path, cli_env)
+        printed = proc.stderr.decode()
+    assert proc.returncode == code, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    assert printed.startswith(f"error: 0:0: cannot read {module}: 'utf-8' codec can't decode")
+
+
+def test_a_flat_rule_of_ten_thousand_atoms_loads_and_answers(tmp_path, cli_env):
+    module = tmp_path / "flat.plt"
+    module.write_text("p :- " + ", ".join(["q(a)"] * 10_000) + ".\nq(a).\n", encoding="utf-8")
+    proc = _run_cli(["--module", str(module), "--query", "p"], tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"yes.\n"

@@ -65,6 +65,15 @@ def test_declared_name_colliding_with_explicit_binder_is_ambiguous():
         load("unknown X.\np(Y) :- some X : q(X, Y).\n")
 
 
+def test_a_clause_rejected_as_ambiguous_draws_no_unknown():
+    with pytest.raises(LoadError) as exc:
+        load("unknown K.\nall K : p(K, *, f(*)).\nq(*).\n")
+    assert str(exc.value) == "2:1: ambiguous unknown scope: K"
+    # K drew ?k1 and q's star ?k2; the rejected fact's stars drew nothing
+    prog = load("r(*).\nr(*).\n")
+    assert [format_clause(c) for c in prog.clauses] == ["r(?k3)", "r(?k4)"]
+
+
 def test_reserved_unknown_literal_is_rejected():
     with pytest.raises(LoadError, match="reserved token"):
         load("phone(sue, ?k1).")

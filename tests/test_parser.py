@@ -1,5 +1,8 @@
 """Concrete syntax: parsing, error reporting, and round-tripping."""
 
+import ast
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from prologtheta.terms import Compound, Const, Star, Var
 from prologtheta.syntax import Atom, Conj, Exists, Fact, Forall, Rule
 from prologtheta.parser import (
     ParseError,
+    _lex,
     format_clause,
     format_goal,
     format_term,
@@ -45,7 +49,6 @@ def test_empty_module_after_header():
 def test_header_is_optional():
     m = parse_module("p(a).")
     assert m.name == "main"
-    assert not m.had_header
     assert len(m.raw_clauses) == 1
 
 
@@ -154,6 +157,36 @@ def test_error_positions_are_line_and_column():
         pytest.fail("expected a parse error")
 
 
+# pieces of module text; the non-ASCII ones are letters, decimal digits
+# (\u0663), digits that are not decimal (\u00b2) and numerics that are
+# neither (\u00bd, \u2177), which the lexer tells apart
+_LEXEMES = [
+    "p", "phone", "X", "Yz", "_", "_x", "42", "7", "\u00b2", "\u00bd", "\u00e9t\u00e9",
+    "\u2177", "\u0663", "\u00c9", "?", "*", "some*", "all", "(", ")", ",", ".", ":", ":-",
+    " ", "\t", "\r", "\n", "\r\n", "% note *?\n", "%", "\x0b", "\u00a0",
+]
+
+
+def _points_at(lines, line, col, text):
+    return lines[line - 1][col - 1:col - 1 + len(text)] == text
+
+
+@given(st.lists(st.sampled_from(_LEXEMES), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_every_token_and_lexical_issue_points_at_its_text(lexemes):
+    text = "".join(lexemes)
+    lines = text.split("\n")
+    tokens, issues = _lex(text)
+    *tokens, eof = tokens
+    for tok in tokens:
+        assert _points_at(lines, tok.line, tok.col, tok.text), tok
+    assert (eof.line, eof.col) == (len(lines), len(lines[-1]) + 1)
+    for issue in issues:
+        # each message quotes the offending text: an identifier or a character
+        quoted = re.search(r"'(.*?)'", issue.message).group(1)
+        assert _points_at(lines, issue.line, issue.col, ast.literal_eval(f"'{quoted}'")), issue
+
+
 # ---------------------------------------------------------------------------
 # Round-tripping.
 
@@ -196,6 +229,25 @@ def test_clause_round_trip_on_source_corpus():
         assert format_clause(parsed) == text
 
 
+def test_a_flat_body_of_ten_thousand_atoms_round_trips():
+    text = "p :- " + ", ".join(f"q(c{i})" for i in range(10_000))
+    rule = parse_module(text + ".").raw_clauses[0]
+    assert format_clause(rule) == text
+    again = parse_module(format_clause(rule, with_period=True)).raw_clauses[0]
+
+    def spine(goal):
+        # the body's conjuncts, compared one by one: == on the whole chain
+        # would recurse once per conjunct
+        conjuncts = []
+        while isinstance(goal, Conj):
+            conjuncts.append(goal.left)
+            goal = goal.right
+        return conjuncts + [goal]
+
+    assert again.head == rule.head and spine(again.body) == spine(rule.body)
+    assert len(spine(rule.body)) == 10_000
+
+
 def test_goal_round_trip_on_source_corpus():
     texts = [
         "phone(tom, _, Y)",
@@ -211,4 +263,4 @@ def test_goal_round_trip_on_source_corpus():
 def test_unknowns_format_reserved():
     from prologtheta.terms import Unknown
 
-    assert format_term(Unknown(3, "emp")) == "?k3"
+    assert format_term(Unknown(3)) == "?k3"

@@ -150,9 +150,9 @@ def test_wellformed_rejects_existential_inside_clause():
 def test_wellformed_rejects_unknowns_in_source_positions():
     from prologtheta.terms import Unknown
 
-    errs = wellformed(Fact(atom("p", Unknown(1, "m"))))
+    errs = wellformed(Fact(atom("p", Unknown(1))))
     assert any("don't-know" in e for e in errs)
-    assert wellformed(Fact(atom("p", Unknown(1, "m"))), allow_unknowns=True) == []
+    assert wellformed(Fact(atom("p", Unknown(1))), allow_unknowns=True) == []
 
 
 def test_wellformed_rejects_arity_conflicts_across_table():

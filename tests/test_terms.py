@@ -61,7 +61,7 @@ def test_occurs_check_can_be_disabled():
 
 
 def test_distinct_unknowns_do_not_unify():
-    k1, k2 = fresh_unknown("emp"), fresh_unknown("emp")
+    k1, k2 = fresh_unknown(), fresh_unknown()
     assert unify(k1, k2) is None
     assert unify(k1, k1) == {}
 
@@ -183,7 +183,7 @@ def test_every_brute_force_unifier_is_an_instance_of_the_mgu(t1, t2):
 @given(st.integers(1, 50), st.integers(1, 50))
 @settings(max_examples=60, deadline=None)
 def test_unknown_opacity(i, j):
-    u1, u2 = Unknown(i, "m"), Unknown(j, "m")
+    u1, u2 = Unknown(i), Unknown(j)
     s = unify(u1, u2)
     if i == j:
         assert s == {}
