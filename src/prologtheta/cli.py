@@ -4,8 +4,8 @@ Exit codes for ``run``: 0 when at least one solution was found, 1 on
 finite failure, 2 on any error, 3 when the search was cut by the depth
 limit or by Python's recursion limit before finding a solution.  ``check``
 exits 0 on MATCH, 1 on MISMATCH, 2 on errors, 3 on oracle overflow or an
-engine search it could not certify.  Input nested too deeply to parse,
-load or print is an error (2).
+engine search it could not certify.  Input nested too deeply to parse or
+load is an error (2); a solution too deep to print is a cut.
 
 Set PROLOGTHETA_NO_COLOR to disable ANSI styling (it is also disabled when
 stdout is not a terminal).
@@ -22,13 +22,7 @@ from typing import Optional, TextIO
 
 from .terms import is_ground
 from .syntax import desugar_query_vars
-from .parser import (
-    ParseError,
-    format_clause,
-    format_goal,
-    format_term,
-    parse_query,
-)
+from .parser import ParseError, format_term, parse_query
 from .loader import LoadError, Program, combine, load_path
 from .engine import (
     EngineError,
@@ -38,6 +32,7 @@ from .engine import (
     display_names,
     format_proof,
     solve,
+    step_texts,
 )
 from .fuzz import differential_check, fuzz_run, has_compound_terms
 
@@ -125,23 +120,12 @@ def solution_json(solution: Optional[Solution], status: str) -> dict:
         {"var": name, "term": format_term(term)} for name, term in solution.answer
     ]
     if solution.trace is not None:
-        for step in solution.trace.steps:
-            if isinstance(step.focus, Program):
-                clause_text = step.focus.name
-            else:
-                clause_text = format_clause(step.focus)
-            goal_text = format_goal(step.goal)
-            doc["trace"].append(
-                {
-                    "index": step.index,
-                    "kind": step.kind,
-                    "clause": clause_text,
-                    "goal": goal_text,
-                    "theta": None
-                    if step.theta is None
-                    else {"var": step.theta[0], "term": format_term(step.theta[1])},
-                }
-            )
+        doc["trace"] = [
+            {"index": step.index, "kind": step.kind, "clause": clause, "goal": goal,
+             "theta": None if step.theta is None
+             else {"var": step.theta[0], "term": format_term(step.theta[1])}}
+            for step, clause, goal in step_texts(solution.trace)
+        ]
     return doc
 
 
@@ -204,27 +188,31 @@ def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         print(f"error: {exc}", file=err)
         return 2
 
-    found = False
+    found = cut = False
     for sol in session:  # print each solution as the search finds it
+        try:  # render it whole before printing any of it
+            lines = [json.dumps(solution_json(sol, "success"))] if as_json else _solution_lines(sol)
+            proof = format_proof(sol.trace, sol.answer) if args.trace and not as_json else None
+        except RecursionError:
+            cut = True  # too deep to print: a cut by Python's recursion limit
+            break
         found = True
-        if as_json:
-            print(json.dumps(solution_json(sol, "success")), file=out)
-            continue
-        for line in _solution_lines(sol):
-            printer.bold(line)
-        if args.trace:
-            printer.plain(format_proof(sol.trace, sol.answer))
+        for line in lines:
+            (printer.plain if as_json else printer.bold)(line)
+        if proof is not None:
+            printer.plain(proof)
     # a cut search says so, also after the answers it found, unless it
     # stopped at --max-solutions before running out of answers
+    incomplete = cut or session.incomplete
     full = config.max_solutions is not None and session.solutions_found >= config.max_solutions
-    if found and (full or not session.incomplete):
+    if found and (full or not incomplete):
         return 0
     if as_json:
-        status = "incomplete" if session.incomplete else "fail"
+        status = "incomplete" if incomplete else "fail"
         print(json.dumps(solution_json(None, status)), file=out)
     else:
-        printer.plain("incomplete search." if session.incomplete else "no.")
-    return 0 if found else 3 if session.incomplete else 1
+        printer.plain("incomplete search." if incomplete else "no.")
+    return 0 if found else 3 if incomplete else 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +243,19 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
     active: Optional[SolveSession] = None
 
     def emit_solution(sol: Solution) -> None:
-        for line in _solution_lines(sol):
+        nonlocal active
+        try:  # render it whole before printing any of it
+            lines = _solution_lines(sol)
+            # the search is paused at ``sol``, so its steps are sol's
+            proof = format_proof(active.search.snapshot(), sol.answer) if show_trace else None
+        except RecursionError:  # too deep to print: a cut by Python's recursion limit
+            printer.plain("incomplete search.")
+            active = None
+            return
+        for line in lines:
             printer.bold(line)
-        if show_trace:  # the search is paused at ``sol``, so its steps are sol's
-            printer.plain(format_proof(active.search.snapshot(), sol.answer))
+        if proof is not None:
+            printer.plain(proof)
 
     while True:
         out.write("?- ")

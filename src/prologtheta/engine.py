@@ -43,7 +43,7 @@ from .syntax import (
     wellformed,
 )
 from .loader import Program, first_arg_key
-from .parser import format_atom, format_clause, format_goal, format_term
+from .parser import format_clause, format_goal, format_term
 
 
 class EngineError(Exception):
@@ -81,8 +81,8 @@ class ProofStep:
 
     ``focus`` is the clause being decomposed for bc steps and the program
     for pv steps.  ``theta`` is the recorded binding and is present exactly
-    when the step instantiated a noisy quantifier; its term is fully
-    resolved against the bindings of the solution.
+    when the step instantiated a noisy quantifier.  Terms are resolved
+    against the bindings of the solution; steps may share resolved nodes.
     """
 
     index: int
@@ -282,32 +282,34 @@ class ProofSearch:
         Strict mode returns None (a backtracking signal, not an error) when
         any witness is not ground; lenient mode keeps residual variables.
         """
-        out = []
+        out, memo = [], {}
         for _, _, _, theta in self.steps:
             if theta is not None:
-                term = resolve_term(theta[1], self.bindings)
+                term = resolve_term(theta[1], self.bindings, memo)
                 if strict and not is_ground(term):
                     return None
                 out.append((theta[0], term))
         return tuple(out)
 
     def snapshot(self) -> ProofTrace:
-        """The steps so far as a trace, resolved against the current bindings."""
-        bindings = self.bindings
+        """The steps so far as a trace, resolved against the current bindings:
+        each binding chain once, and each node once for all steps sharing it."""
+        bindings, memo, nodes = self.bindings, {}, {}
 
         def resolve(term: Term) -> Term:
-            return resolve_term(term, bindings)
+            return resolve_term(term, bindings, memo)
+
+        def node(goal):  # steps are premise first: a conjunct comes before its Conj
+            if id(goal) not in nodes:
+                nodes[id(goal)] = (
+                    Atom(goal.pred, tuple(map(resolve, goal.args))) if type(goal) is Atom
+                    else Conj(node(goal.left), node(goal.right)) if type(goal) is Conj
+                    else map_terms(goal, resolve))
+            return nodes[id(goal)]
 
         return ProofTrace(tuple(
-            ProofStep(
-                index=i,
-                kind=kind,
-                focus=focus if isinstance(focus, Program) else map_terms(
-                    focus.clause() if isinstance(focus, _Layer) else focus, resolve
-                ),
-                goal=map_terms(goal, resolve),
-                theta=None if theta is None else (theta[0], resolve(theta[1])),
-            )
+            ProofStep(i, kind, map_terms(focus.clause(), resolve) if type(focus) is _Layer else focus,
+                      node(goal), None if theta is None else (theta[0], resolve(theta[1])))
             for i, (kind, focus, goal, theta) in enumerate(self.steps, 1)
         ))
 
@@ -398,6 +400,19 @@ def format_theta(theta: Optional[Theta]) -> str:
     return f"<{theta[0]}, {format_term(theta[1])}>"
 
 
+def step_texts(trace: ProofTrace) -> Iterator[tuple[ProofStep, str, str]]:
+    """Each step with the text of its focus (a program by its name) and of
+    its goal; a node shared between steps is formatted once."""
+    texts: dict[int, str] = {}
+    for step in trace.steps:
+        focus, goal = step.focus, step.goal
+        if id(focus) not in texts:
+            texts[id(focus)] = focus.name if isinstance(focus, Program) else format_clause(focus)
+        if id(goal) not in texts:
+            texts[id(goal)] = format_goal(goal)
+        yield step, texts[id(focus)], texts[id(goal)]
+
+
 def format_proof(trace: ProofTrace, answer) -> str:
     """Render a trace bottom-up: line 1 is the deepest step, the last line
     is the root judgment, followed by the answer substitution."""
@@ -405,10 +420,9 @@ def format_proof(trace: ProofTrace, answer) -> str:
     if trace.steps and isinstance(trace.steps[-1].focus, Program):
         label = trace.steps[-1].focus.name
 
-    def shown_goal(goal) -> str:
+    def shown_goal(text: str) -> str:
         # parenthesize goals with a top-level comma so step arguments stay
         # unambiguous; the parenthesized form reparses to the same goal
-        text = format_goal(goal)
         depth = 0
         for ch in text:
             if ch == "(":
@@ -420,15 +434,12 @@ def format_proof(trace: ProofTrace, answer) -> str:
         return text
 
     lines = []
-    for step in trace.steps:
+    for step, clause, goal in step_texts(trace):
         theta = format_theta(step.theta)
         if step.kind == "bc":
-            lines.append(
-                f"{step.index}. bc({format_clause(step.focus)}, {label}, "
-                f"{format_atom(step.goal)}, {theta})"
-            )
+            lines.append(f"{step.index}. bc({clause}, {label}, {goal}, {theta})")
         else:
-            lines.append(f"{step.index}. pv({label}, {shown_goal(step.goal)}, {theta})")
+            lines.append(f"{step.index}. pv({label}, {shown_goal(goal)}, {theta})")
     pairs = ", ".join(
         f"{shown} = {format_term(term)}"
         for shown, (_, term) in zip(display_names(answer), answer)

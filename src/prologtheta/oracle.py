@@ -151,11 +151,16 @@ class _Enumerator:
             self.memo[key] = result
             return result
         if isinstance(goal, Conj):
-            lefts = self.prove(goal.left, env, depth)
-            if not lefts:
-                return frozenset()
-            rights = self.prove(goal.right, env, depth)
-            return frozenset(l + r for l in lefts for r in rights)
+            # walk a Conj chain's spine in a loop, one tick per Conj node
+            out = None
+            while True:
+                part = self.prove(goal.left if isinstance(goal, Conj) else goal, env, depth)
+                out = part if out is None else {o + p for o in out for p in part}
+                if not out or not isinstance(goal, Conj):
+                    return frozenset(out)
+                goal = goal.right
+                if isinstance(goal, Conj):
+                    self._tick()
         if isinstance(goal, Exists):
             out = set()
             for pick in self.universe.terms:

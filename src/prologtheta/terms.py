@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,15 @@ def compound(functor: str, *args: Term) -> Compound:
 
 def is_ground(term: Term) -> bool:
     """True iff the term contains no variables.  Unknowns count as ground."""
-    if isinstance(term, Var):
-        return False
-    if isinstance(term, Compound):
-        return all(is_ground(a) for a in term.args)
+    if type(term) is not Compound:
+        return type(term) is not Var
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, Var):
+            return False
+        if isinstance(term, Compound):
+            stack.extend(term.args)
     return True
 
 
@@ -109,25 +114,47 @@ def walk_shallow(term: Term, bindings: Mapping[int, Term]) -> Term:
     return term
 
 
-def resolve_term(
-    term: Term, bindings: Mapping[int, Term], _path: frozenset = frozenset()
-) -> Term:
-    """Deep-resolve a term through a (triangular) binding map.
+def resolve_term(term: Term, bindings: Mapping[int, Term], memo: Optional[dict] = None) -> Term:
+    """Deep-resolve a term through a (triangular) binding map, in a loop.
 
-    The ``_path`` guard keeps resolution total even on cyclic maps, which
-    can only arise with the occurs check disabled; the cycle variable is
-    left in place rather than expanded forever.
+    A variable met again inside its own binding (a cyclic map, made with the
+    occurs check off) is left in place.  ``memo`` maps variable ids to their
+    resolved terms for calls over the same bindings; it never keeps one whose
+    resolution cut a cycle, as that form depends on where it was entered.
     """
-    if isinstance(term, Var):
+    if type(term) is Var:
         bound = bindings.get(term.id)
-        if bound is None or term.id in _path:
-            return term
-        return resolve_term(bound, bindings, _path | {term.id})
-    if isinstance(term, Compound):
-        return Compound(
-            term.functor, tuple(resolve_term(a, bindings, _path) for a in term.args)
-        )
-    return term
+        if bound is None or type(bound) not in (Var, Compound):  # unbound, or one link
+            return term if bound is None else bound
+        if memo and term.id in memo:
+            return memo[term.id]
+    elif type(term) is not Compound:
+        return term
+    memo = {} if memo is None else memo
+    path, cuts, out, todo = set(), 0, [], [term]  # todo: terms, and marks finishing one
+    while todo:
+        item = todo.pop()
+        if type(item) is Var:
+            bound = bindings.get(item.id)
+            if item.id in memo or bound is None or item.id in path:
+                cuts += item.id in path  # a cycle, cut here
+                out.append(memo.get(item.id, item))
+            else:
+                path.add(item.id)
+                todo += ((item.id, cuts), bound)
+        elif type(item) is Compound:
+            todo.append((item,))
+            todo.extend(item.args[::-1])
+        elif type(item) is not tuple:
+            out.append(item)
+        elif len(item) == 1:  # (compound,): its arguments are resolved
+            n = len(item[0].args)
+            out[-n:] = [Compound(item[0].functor, tuple(out[-n:]))]
+        else:  # (variable id, cuts on entry): its binding is resolved
+            path.discard(item[0])
+            if cuts == item[1]:
+                memo[item[0]] = out[-1]
+    return out[0]
 
 
 def _occurs(var_id: int, term: Term, bindings: Mapping[int, Term]) -> bool:

@@ -653,6 +653,14 @@ def test_a_module_that_is_not_utf8_is_an_error_without_traceback(
     assert printed.startswith(f"error: 0:0: cannot read {module}: 'utf-8' codec can't decode")
 
 
+def test_check_matches_on_a_flat_rule_of_a_thousand_atoms(tmp_path, capsys):
+    # the oracle walks a rule body's Conj spine in a loop, as the engine does
+    module = tmp_path / "flat.plt"
+    module.write_text("p :- " + ", ".join(["q(a)"] * 1000) + ".\nq(a).\n", encoding="utf-8")
+    assert main(["check", "--module", str(module), "--query", "p"]) == 0
+    assert capsys.readouterr().out == "MATCH\n"
+
+
 def test_a_flat_rule_of_ten_thousand_atoms_loads_and_answers(tmp_path, cli_env):
     module = tmp_path / "flat.plt"
     module.write_text("p :- " + ", ".join(["q(a)"] * 10_000) + ".\nq(a).\n", encoding="utf-8")

@@ -5,16 +5,18 @@ from dataclasses import replace
 
 import pytest
 
-from prologtheta.terms import Const, Var, is_ground, reset_fresh_counters
-from prologtheta.syntax import Atom, Conj, Exists, Forall, desugar_query_vars
+from prologtheta.terms import Compound, Const, Var, is_ground, reset_fresh_counters
+from prologtheta.syntax import Atom, Conj, Exists, Forall, desugar_query_vars, map_terms
 from prologtheta.parser import format_goal, format_term, parse_query
 from prologtheta.loader import Program, load
 from prologtheta.cli import solution_json
 from prologtheta.engine import (
     EngineError,
     ProofSearch,
+    ProofStep,
     SolveConfig,
     format_proof,
+    format_theta,
     solve,
 )
 
@@ -470,6 +472,113 @@ def test_cyclic_witness_answer_matches_its_recorded_binding():
     (theta,) = [s.theta for s in sol.trace.steps if s.theta is not None]
     assert format_term(theta[1]) == "f(Y)"
     assert sol.answer == (theta,)
+
+
+def reference_steps(search):
+    """The steps of a paused search each resolved on their own, through the
+    recursive resolver with a per-branch cycle guard: what ``snapshot``
+    must equal although it resolves each binding chain and node once."""
+    bindings = search.bindings
+
+    def resolve(term, path=frozenset()):
+        if isinstance(term, Var):
+            bound = bindings.get(term.id)
+            if bound is None or term.id in path:
+                return term
+            return resolve(bound, path | {term.id})
+        if isinstance(term, Compound):
+            return Compound(term.functor, tuple(resolve(a, path) for a in term.args))
+        return term
+
+    return [
+        ProofStep(
+            index=i,
+            kind=kind,
+            focus=focus if isinstance(focus, Program)
+            else map_terms(focus.clause() if hasattr(focus, "clause") else focus, resolve),
+            goal=map_terms(goal, resolve),
+            theta=None if theta is None else (theta[0], resolve(theta[1])),
+        )
+        for i, (kind, focus, goal, theta) in enumerate(search.steps, 1)
+    ]
+
+
+CYCLES = [
+    # X = f(Y) and Y = g(X): resolved from X, Y shows as g(X), alone as g(f(Y))
+    ("p(A, A).", "some* X : some* Y : p(X, f(Y)), p(Y, g(X))",
+     ["<Y, g(f(Y))>", "<X, f(g(X))>"]),
+    # the same cycle made inside a rule: C's binding enters it at the rule's
+    # renamed X, so C prints that variable where the cycle is cut
+    ("eq(X, X).\nq(X, Y) :- eq(X, f(Y)), eq(Y, g(X)).",
+     "some* A : some* B : some* C : q(A, B), eq(C, B)",
+     ["<C, g(f(g(X)))>", "<B, g(f(B))>", "<A, f(g(A))>"]),
+]
+
+
+@pytest.mark.parametrize("program, query, thetas", CYCLES)
+def test_snapshot_resolves_a_cycle_from_where_each_step_enters_it(program, query, thetas):
+    # with the occurs check off a cyclic variable's form depends on where
+    # resolution entered the cycle, so one cut must not be reused
+    config = SolveConfig(groundness_mode="lenient", occurs_check=False)
+    _, _, session = ask(program, query, config)
+    sol = session.next_solution()
+    assert [format_theta(s.theta) for s in sol.trace.steps if s.theta] == thetas
+    assert list(session.search.snapshot().steps) == reference_steps(session.search)
+    assert list(sol.trace.steps) == reference_steps(session.search)
+
+
+def test_snapshot_matches_the_reference_over_many_searches():
+    from prologtheta.fuzz import random_case
+
+    checked = 0
+    for seed in range(150):
+        case = random_case(random.Random(seed))
+        for occurs_check in (True, False):
+            prog = load(case.program_text)
+            goal = desugar_query_vars(parse_query(case.query_text))
+            config = SolveConfig(groundness_mode="lenient", occurs_check=occurs_check)
+            search = solve(prog, goal, config).search
+            for _ in search.prove(goal):
+                assert list(search.snapshot().steps) == reference_steps(search)
+                checked += 1
+    assert checked > 100
+
+
+def test_steps_share_their_resolved_nodes():
+    prog, _, session = ask("phone(tom, cs, 4450).", "some X : some* Y : phone(tom, X, Y)")
+    steps = session.next_solution().trace.steps
+    assert steps[0].focus is prog.clauses[0]  # a program clause, not a copy
+    assert steps[0].goal is steps[1].goal
+    prog, _, session = ask(PATH, "path(n0, Y)")
+    for sol in session:
+        steps = sol.trace.steps
+        seen = set()
+        for i, step in enumerate(steps):
+            if step.kind == "bc":
+                # a call's bc steps, innermost layer first, come just before
+                # its pv step, all on one goal; the last is the program's clause
+                pv = next(s for s in steps[i:] if s.kind == "pv")
+                assert step.goal is pv.goal
+                if steps[i + 1] is pv:
+                    assert any(step.focus is c for c in prog.clauses)
+            if isinstance(step.goal, Conj):  # its conjuncts are earlier steps' goals
+                assert id(step.goal.left) in seen and id(step.goal.right) in seen
+            seen.add(id(step.goal))
+
+
+def test_nat_gives_its_first_thousand_answers_untraced():
+    # the thousandth answer is nested 999 deep, past Python's stack for a
+    # resolver that recursed per term level
+    _, _, session = ask("nat(z).\nnat(s(X)) :- nat(X).", "nat(X)",
+                        SolveConfig(max_solutions=1000, trace_enabled=False))
+    sols = list(session)
+    assert len(sols) == 1000 and not session.incomplete
+    for depth, sol in enumerate(sols):
+        ((name, term),) = sol.answer
+        for _ in range(depth):
+            assert term.functor == "s"
+            (term,) = term.args
+        assert name == "X" and term == Const("z")
 
 
 def test_empty_conjunction_free_single_fact_proof_has_two_lines():
