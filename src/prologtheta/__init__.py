@@ -38,7 +38,6 @@ from .parser import (
     ParseError,
     ParseIssue,
     SourceModule,
-    format_atom,
     format_clause,
     format_goal,
     format_term,

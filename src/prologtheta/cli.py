@@ -2,10 +2,10 @@
 
 Exit codes for ``run``: 0 when at least one solution was found, 1 on
 finite failure, 2 on any error, 3 when the search was cut by the depth
-limit or by Python's recursion limit before finding a solution.  ``check``
-exits 0 on MATCH, 1 on MISMATCH, 2 on errors, 3 on oracle overflow or an
-engine search it could not certify.  Input nested too deeply to parse or
-load is an error (2); a solution too deep to print is a cut.
+limit before finding a solution.  ``check`` exits 0 on MATCH, 1 on
+MISMATCH, 2 on errors, 3 on oracle overflow or an engine search it could
+not certify.  Input text nested too deeply to parse or load is an error
+(2); terms the search builds are walked in loops, so they have no limit.
 
 Set PROLOGTHETA_NO_COLOR to disable ANSI styling (it is also disabled when
 stdout is not a terminal).
@@ -133,25 +133,18 @@ def solution_json(solution: Optional[Solution], status: str) -> dict:
 # Session state shared by batch and REPL evaluation.
 
 
-def _combine(modules: list[Program]) -> Program:
-    """The modules as one program in load order; ``empty`` when there are none."""
-    if not modules:
-        return Program(name="empty", clauses=(), unknown_table={}, arity_table={})
-    return combine(modules)
-
-
 class SessionState:
     """The loaded modules, combined once per load, and the query settings."""
 
     def __init__(self, modules: list[Program], config: SolveConfig):
         self.modules = modules
-        self.program = _combine(modules)
+        self.program = combine(modules)
         self.config = config
 
     def load(self, path: str) -> None:
         """Add a module; on a LoadError the session is left as it was."""
         modules = [*self.modules, load_path(path)]
-        self.program = _combine(modules)
+        self.program = combine(modules)
         self.modules = modules
 
     def start_query(self, text: str) -> SolveSession:
@@ -188,22 +181,17 @@ def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         print(f"error: {exc}", file=err)
         return 2
 
-    found = cut = False
     for sol in session:  # print each solution as the search finds it
-        try:  # render it whole before printing any of it
-            lines = [json.dumps(solution_json(sol, "success"))] if as_json else _solution_lines(sol)
-            proof = format_proof(sol.trace, sol.answer) if args.trace and not as_json else None
-        except RecursionError:
-            cut = True  # too deep to print: a cut by Python's recursion limit
-            break
-        found = True
-        for line in lines:
-            (printer.plain if as_json else printer.bold)(line)
-        if proof is not None:
-            printer.plain(proof)
+        if as_json:
+            printer.plain(json.dumps(solution_json(sol, "success")))
+            continue
+        for line in _solution_lines(sol):
+            printer.bold(line)
+        if args.trace:
+            printer.plain(format_proof(sol.trace, sol.answer))
     # a cut search says so, also after the answers it found, unless it
     # stopped at --max-solutions before running out of answers
-    incomplete = cut or session.incomplete
+    found, incomplete = session.solutions_found > 0, session.incomplete
     full = config.max_solutions is not None and session.solutions_found >= config.max_solutions
     if found and (full or not incomplete):
         return 0
@@ -243,19 +231,10 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
     active: Optional[SolveSession] = None
 
     def emit_solution(sol: Solution) -> None:
-        nonlocal active
-        try:  # render it whole before printing any of it
-            lines = _solution_lines(sol)
-            # the search is paused at ``sol``, so its steps are sol's
-            proof = format_proof(active.search.snapshot(), sol.answer) if show_trace else None
-        except RecursionError:  # too deep to print: a cut by Python's recursion limit
-            printer.plain("incomplete search.")
-            active = None
-            return
-        for line in lines:
+        for line in _solution_lines(sol):
             printer.bold(line)
-        if proof is not None:
-            printer.plain(proof)
+        if show_trace:  # the search is paused at ``sol``, so its steps are sol's
+            printer.plain(format_proof(active.search.snapshot(), sol.answer))
 
     while True:
         out.write("?- ")
@@ -311,6 +290,7 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
                 else:
                     printer.plain(f"unknown command: {line}  (:help for help)")
             except (ParseError, LoadError, ValueError, RecursionError) as exc:
+                # RecursionError here comes from loading a module nested too deeply
                 printer.plain(f"error: {exc}")
             continue
         try:
@@ -322,7 +302,7 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
             else:
                 emit_solution(sol)
         except (ParseError, LoadError, EngineError, RecursionError) as exc:
-            # RecursionError here comes from parsing or printing too deep a term
+            # RecursionError here comes from reading a query nested too deeply
             printer.plain(f"error: {exc}")
             active = None
 
@@ -362,7 +342,7 @@ def run_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         print("error: check needs --query or --fuzz", file=err)
         return 2
     try:
-        program = _combine([load_path(p) for p in args.module])
+        program = combine([load_path(p) for p in args.module])
         goal = desugar_query_vars(parse_query(args.query))
         if args.universe_depth == 0 and has_compound_terms(program, goal):
             print(
@@ -451,8 +431,7 @@ def main(argv: Optional[list] = None) -> int:
             return run_repl(args, sys.stdin, sys.stdout, sys.stderr)
         return run_check(args, sys.stdout, sys.stderr)
     except RecursionError as exc:
-        # a search cut this way is reported incomplete by the engine; what
-        # arrives here is a parse, load or print of too deep a term
+        # the parser and the loader recurse on the nesting of the input text
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional, Sequence, Union
 
-from .terms import Compound, Term, Var, fresh_var, is_ground, resolve_term, unify_into
-from .terms import walk_shallow
+from .terms import Compound, Term, Var, fold_term, fresh_var, is_ground, resolve_term
+from .terms import unify_into, walk_shallow
 from .syntax import (
     Atom,
     Clause,
@@ -128,14 +128,6 @@ class _Layer:
         return self.built
 
 
-def _mark(term: Term, met: set) -> None:
-    if type(term) is Var:
-        met.add(term.id)
-    elif type(term) is Compound:
-        for arg in term.args:
-            _mark(arg, met)
-
-
 class ProofSearch:
     """One in-progress search: owns its bindings, trail, and step list.
 
@@ -183,10 +175,8 @@ class ProofSearch:
         renaming = {layer.var.id: fresh_var(layer.var.name) for layer in layers}
         if core.head.pred != goal.pred or len(core.head.args) != len(goal.args):
             return None
-        met: set = set()
-        for pattern, term in zip(core.head.args, goal.args):
-            if not self._match(pattern, term, renaming, met):
-                return None
+        if not self._match(core.head.args, goal.args, renaming):
+            return None
         witnesses = list(renaming.values())
         thetas = [(layer.var.name, w) if layer.noisy else None
                   for layer, w in zip(layers, witnesses)] + [None]  # the core's last
@@ -197,31 +187,38 @@ class ProofSearch:
             return None, group, cont
         return map_terms(core.body, partial(subst_term, renaming)), depth + 1, (None, group, cont)
 
-    def _match(self, pattern: Term, term: Term, renaming: dict, met: set) -> bool:
-        """Unify a renamed clause-head subterm with a goal subterm.  A
-        universal met for the first time, walking the head left to right,
-        binds with no occurs check, as nothing it could occur in is bound
-        yet.  Those in a head subterm that a goal variable binds to are met."""
-        if type(pattern) is Var:
-            var = renaming[pattern.id]
-            if pattern.id not in met:
-                met.add(pattern.id)
-                self.bindings[var.id] = walk_shallow(term, self.bindings)
-                self.trail.append(var.id)
-                return True
-            pattern = var
-        elif type(pattern) is Compound:
-            term = walk_shallow(term, self.bindings)
-            if type(term) is Compound:
-                return (pattern.functor == term.functor
-                        and len(pattern.args) == len(term.args)
-                        and all(self._match(p, t, renaming, met)
-                                for p, t in zip(pattern.args, term.args)))
-            if type(term) is not Var:
+    def _match(self, patterns: tuple, terms: tuple, renaming: dict) -> bool:
+        """Unify renamed clause-head arguments with goal arguments, pair by
+        pair, left to right.  A universal met for the first time binds with
+        no occurs check, as nothing it could occur in is bound yet.  Those
+        in a head subterm that a goal variable binds to are met."""
+        bindings, trail, met = self.bindings, self.trail, set()
+        todo = list(zip(reversed(patterns), reversed(terms)))
+        while todo:
+            pattern, term = todo.pop()
+            if type(pattern) is Var:
+                var = renaming[pattern.id]
+                if pattern.id not in met:
+                    met.add(pattern.id)
+                    bindings[var.id] = walk_shallow(term, bindings)
+                    trail.append(var.id)
+                    continue
+                pattern = var
+            elif type(pattern) is Compound:
+                term = walk_shallow(term, bindings)
+                if type(term) is Compound:
+                    if pattern.functor != term.functor or len(pattern.args) != len(term.args):
+                        return False
+                    todo.extend(zip(reversed(pattern.args), reversed(term.args)))
+                    continue
+                if type(term) is not Var:
+                    return False
+                # one walk renames the subterm and meets its universals
+                pattern = fold_term(
+                    pattern, lambda t: met.add(t.id) or renaming[t.id] if type(t) is Var else t)
+            if not unify_into(pattern, term, bindings, trail, self.config.occurs_check):
                 return False
-            _mark(pattern, met)
-            pattern = subst_term(renaming, pattern)
-        return unify_into(pattern, term, self.bindings, self.trail, self.config.occurs_check)
+        return True
 
     def prove(self, goal: Goal) -> Iterator[None]:
         """Yield once per derivation of ``goal``; bindings and steps hold
@@ -319,8 +316,8 @@ class SolveSession:
 
     Iterate it, or call ``next_solution()`` which returns None when the
     stream ends; ``incomplete`` tells whether any branch was cut by the
-    depth limit (``DEPTH_CAP`` when there is none) or by Python's recursion
-    limit, distinguishing a bounded search from finite failure.
+    depth limit (``DEPTH_CAP`` when there is none), distinguishing a
+    bounded search from finite failure.
     """
 
     def __init__(self, program: Program, goal: Goal, config: SolveConfig):
@@ -344,23 +341,15 @@ class SolveSession:
         config = self.config
         search = self.search
         strict = config.groundness_mode == "strict"
-        try:
-            for _ in search.prove(self.goal):
-                answer = search.answer(strict)
-                if answer is None:
-                    continue  # non-ground noisy witness: reject and backtrack
-                trace = search.snapshot() if config.trace_enabled else None
-                yield Solution(answer=answer, trace=trace)
-                self.solutions_found += 1
-                if (
-                    config.max_solutions is not None
-                    and self.solutions_found >= config.max_solutions
-                ):
-                    return
-        except RecursionError:
-            # Python's stack ran out before the depth limit did: the same
-            # cut, so the solutions already found stand
-            self.search.depth_clipped = True
+        for _ in search.prove(self.goal):
+            answer = search.answer(strict)
+            if answer is None:
+                continue  # non-ground noisy witness: reject and backtrack
+            trace = search.snapshot() if config.trace_enabled else None
+            yield Solution(answer=answer, trace=trace)
+            self.solutions_found += 1
+            if config.max_solutions is not None and self.solutions_found >= config.max_solutions:
+                return
 
     def __iter__(self) -> Iterator[Solution]:
         return self._gen

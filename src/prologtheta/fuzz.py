@@ -171,7 +171,7 @@ def differential_check(
         return CheckReport(
             status="incomplete",
             engine_answers=engine_answers,
-            detail="engine search hit the depth or recursion limit; cannot certify",
+            detail="engine search hit the depth limit; cannot certify",
         )
     try:
         universe = herbrand_universe(program, universe_depth)

@@ -156,7 +156,8 @@ def load_path(path: Union[str, Path]) -> Program:
 
 
 def combine(programs: Iterable[Program], name: str = "program") -> Program:
-    """Concatenate loaded programs in load order.
+    """Concatenate loaded programs in load order; no programs make an
+    empty one.
 
     Predicate arities must stay consistent across modules; unknowns from
     different modules are already distinct by construction.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Compound, Const, Star, Term, Unknown, Var, fresh_var
+from .terms import Compound, Const, Star, Term, Unknown, Var, fold_term, fresh_var
 from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule
 
 RESERVED_WORDS = {"module", "unknown", "some", "all", "some*", "all*"}
@@ -391,15 +391,14 @@ def parse_term(text: str) -> Term:
 
 
 def format_term(term: Term) -> str:
-    if isinstance(term, Var):
+    if type(term) is Var or type(term) is Const:
         return term.name
-    if isinstance(term, Const):
-        return term.name
-    if isinstance(term, Unknown):
+    if type(term) is Unknown:
         return f"?k{term.id}"
-    if isinstance(term, Compound):
-        return f"{term.functor}({', '.join(format_term(a) for a in term.args)})"
-    if isinstance(term, Star):
+    if type(term) is Compound:
+        # format_term formats the leaves, which are not compound
+        return fold_term(term, format_term, lambda f, args: f"{f}({', '.join(args)})")
+    if type(term) is Star:
         return "*"
     raise TypeError(f"not a term: {term!r}")
 

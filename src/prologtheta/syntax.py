@@ -16,9 +16,10 @@ conventional top level displays every query binding).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
-from .terms import Compound, Star, Term, Unknown, Var, fresh_unknown, fresh_var
+from .terms import Compound, Star, Term, Unknown, Var, fold_term, fresh_unknown, fresh_var, subterms
 
 
 @dataclass(frozen=True)
@@ -154,13 +155,14 @@ def subst_term(mapping: dict, term: Term) -> Term:
     """Replace variables by id; capture-free because binder ids are unique.
 
     The mapping comes first so that ``partial(subst_term, mapping)`` is a
-    one-argument function for ``map_terms``.
+    one-argument function for ``map_terms``, and a leaf map for
+    ``fold_term``.
     """
-    if isinstance(term, Var):
+    if type(term) is Var:
         return mapping.get(term.id, term)
-    if isinstance(term, Compound):
-        return Compound(term.functor, tuple(subst_term(mapping, a) for a in term.args))
-    return term
+    if type(term) is not Compound:
+        return term
+    return fold_term(term, partial(subst_term, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -196,30 +198,26 @@ class _FreeVars:
         return v
 
 
-def _desugar_term(term: Term, env: dict, active: set, free: _FreeVars) -> Term:
-    if isinstance(term, Var):
-        if term.name == "_":
-            # an anonymous occurrence already closed by an enclosing binder
-            # must stay put; a fresh one gets its own quantifier
-            if term.id in active:
-                return term
-            return free.for_anonymous()
-        if term.name in env:
-            return env[term.name]
-        return free.for_name(term.name)
-    if isinstance(term, Compound):
-        return Compound(
-            term.functor, tuple(_desugar_term(a, env, active, free) for a in term.args)
-        )
-    if isinstance(term, Star) and free.skolemize and not free.clashes:
-        return fresh_unknown()
-    return term
-
-
 def _desugar(node, free: _FreeVars):
     def on_atom(a: Atom, scope: tuple) -> Atom:
         env, active = scope
-        return Atom(a.pred, tuple(_desugar_term(t, env, active, free) for t in a.args))
+
+        def leaf(term: Term) -> Term:
+            if isinstance(term, Var):
+                if term.name == "_":
+                    # an anonymous occurrence already closed by an enclosing
+                    # binder must stay put; a fresh one gets its own quantifier
+                    if term.id in active:
+                        return term
+                    return free.for_anonymous()
+                if term.name in env:
+                    return env[term.name]
+                return free.for_name(term.name)
+            if isinstance(term, Star) and free.skolemize and not free.clashes:
+                return fresh_unknown()
+            return term
+
+        return Atom(a.pred, tuple(fold_term(t, leaf) for t in a.args))
 
     def on_binder(var: Var, noisy: bool, scope: tuple) -> tuple:
         # Keep the parsed binder variable unless an enclosing binder already
@@ -288,18 +286,16 @@ def wellformed(
     if arities is None:
         arities = {}
 
-    def check_term(t: Term, bound: frozenset) -> None:
-        if isinstance(t, Var):
-            if t.id not in bound:
-                errors.append(f"unbound variable {t.name}")
-        elif isinstance(t, Unknown):
-            if not allow_unknowns:
-                errors.append("don't-know constant not allowed here")
-        elif isinstance(t, Star):
-            errors.append("placeholder '*' not allowed here")
-        elif isinstance(t, Compound):
-            for a in t.args:
-                check_term(a, bound)
+    def check_term(term: Term, bound: frozenset) -> None:
+        for t in subterms(term) if type(term) is Compound else (term,):
+            if isinstance(t, Var):
+                if t.id not in bound:
+                    errors.append(f"unbound variable {t.name}")
+            elif isinstance(t, Unknown):
+                if not allow_unknowns:
+                    errors.append("don't-know constant not allowed here")
+            elif isinstance(t, Star):
+                errors.append("placeholder '*' not allowed here")
 
     def check_atom(a: Atom, bound: frozenset) -> Atom:
         seen = arities.get(a.pred)

@@ -1,4 +1,5 @@
-"""First-order terms and destructive, trailed unification.
+"""First-order terms, the two loops that walk them, and destructive,
+trailed unification.
 
 Terms are immutable values; sharing them across threads is safe.  The only
 mutable state in this module is the pair of fresh-id counters, which are
@@ -9,13 +10,17 @@ bound variables.  ``resolve_term`` resolves through the chains, so the
 observable behaviour is idempotent even though the stored map is not fully
 resolved.  Triangular form is what makes backtracking cheap: the engine
 undoes bindings by truncating a trail instead of rebuilding maps.
+
+Every walk over a term is a loop over an explicit stack (``subterms``,
+``fold_term``, ``resolve_term`` and unification), so a term's depth costs
+heap, not Python frames.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -90,18 +95,41 @@ def compound(functor: str, *args: Term) -> Compound:
     return Compound(functor, tuple(args))
 
 
+def subterms(term: Term) -> Iterator[Term]:
+    """The term and all its subterms, pre-order, in textual order."""
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        yield term
+        if type(term) is Compound:
+            stack.extend(reversed(term.args))
+
+
+def fold_term(term: Term, leaf: Callable, node: Callable = Compound):
+    """Rebuild a term bottom-up: ``leaf`` maps each non-compound subterm,
+    left to right, and ``node(functor, args)`` joins a compound's rebuilt
+    arguments."""
+    if type(term) is not Compound:
+        return leaf(term)
+    out, todo = [], [term]  # todo: terms, and (compound,) marks joining one
+    while todo:
+        item = todo.pop()
+        if type(item) is Compound:
+            todo.append((item,))
+            todo.extend(reversed(item.args))
+        elif type(item) is tuple:
+            n = len(item[0].args)
+            out[-n:] = [node(item[0].functor, tuple(out[-n:]))]
+        else:
+            out.append(leaf(item))
+    return out[0]
+
+
 def is_ground(term: Term) -> bool:
     """True iff the term contains no variables.  Unknowns count as ground."""
     if type(term) is not Compound:
         return type(term) is not Var
-    stack = [term]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, Var):
-            return False
-        if isinstance(term, Compound):
-            stack.extend(term.args)
-    return True
+    return not any(type(t) is Var for t in subterms(term))
 
 
 def walk_shallow(term: Term, bindings: Mapping[int, Term]) -> Term:
@@ -158,11 +186,14 @@ def resolve_term(term: Term, bindings: Mapping[int, Term], memo: Optional[dict] 
 
 
 def _occurs(var_id: int, term: Term, bindings: Mapping[int, Term]) -> bool:
-    term = walk_shallow(term, bindings)
-    if isinstance(term, Var):
-        return term.id == var_id
-    if isinstance(term, Compound):
-        return any(_occurs(var_id, a, bindings) for a in term.args)
+    stack = [term]
+    while stack:
+        term = walk_shallow(stack.pop(), bindings)
+        if type(term) is Var:
+            if term.id == var_id:
+                return True
+        elif type(term) is Compound:
+            stack.extend(term.args)
     return False
 
 
@@ -178,32 +209,36 @@ def unify_into(
     New bindings are appended to ``trail`` so a caller can undo them on
     backtracking.  On failure ``bindings`` may hold partial
     work; callers are expected to roll back to their own trail mark.
+    Argument pairs are unified left to right.  With the occurs check off,
+    bindings may be cyclic: a pair of compounds met a second time is taken
+    as equal, as it is being or has been unified, so unifying rational
+    trees ends (Colmerauer 1982).
     """
-    t1 = walk_shallow(t1, bindings)
-    t2 = walk_shallow(t2, bindings)
-    if isinstance(t1, Var):
-        if isinstance(t2, Var) and t1.id == t2.id:
+    todo, seen = (), None if occurs_check else set()  # pairs left; compound pairs met
+    while True:
+        t1 = walk_shallow(t1, bindings)
+        t2 = walk_shallow(t2, bindings)
+        if type(t2) is Var and type(t1) is not Var:
+            t1, t2 = t2, t1  # bind the variable
+        if type(t1) is Var:
+            if type(t2) is not Var or t1.id != t2.id:
+                if occurs_check and type(t2) is Compound and _occurs(t1.id, t2, bindings):
+                    return False
+                bindings[t1.id] = t2
+                trail.append(t1.id)
+        elif type(t1) is Compound:
+            if type(t2) is not Compound or t1.functor != t2.functor or len(t1.args) != len(t2.args):
+                return False
+            if seen is None or (id(t1), id(t2)) not in seen:
+                if seen is not None:
+                    seen.add((id(t1), id(t2)))
+                todo = todo or []
+                todo.extend(zip(reversed(t1.args), reversed(t2.args)))
+        elif type(t1) is Const:
+            if type(t2) is not Const or t1.name != t2.name:
+                return False
+        elif type(t2) is not Unknown or t1.id != t2.id:  # t1 is an Unknown
+            return False
+        if not todo:
             return True
-        if occurs_check and _occurs(t1.id, t2, bindings):
-            return False
-        bindings[t1.id] = t2
-        trail.append(t1.id)
-        return True
-    if isinstance(t2, Var):
-        if occurs_check and _occurs(t2.id, t1, bindings):
-            return False
-        bindings[t2.id] = t1
-        trail.append(t2.id)
-        return True
-    if isinstance(t1, Const) and isinstance(t2, Const):
-        return t1.name == t2.name
-    if isinstance(t1, Unknown) and isinstance(t2, Unknown):
-        return t1.id == t2.id
-    if isinstance(t1, Compound) and isinstance(t2, Compound):
-        if t1.functor != t2.functor or len(t1.args) != len(t2.args):
-            return False
-        return all(
-            unify_into(a, b, bindings, trail, occurs_check)
-            for a, b in zip(t1.args, t2.args)
-        )
-    return False
+        t1, t2 = todo.pop()

@@ -204,7 +204,7 @@ def test_check_fuzz_names_an_uncertified_case_incomplete(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert out.startswith("INCOMPLETE (case 1/50, seed 3)\n")
-    assert out.endswith("engine search hit the depth or recursion limit; cannot certify\n")
+    assert out.endswith("engine search hit the depth limit; cannot certify\n")
 
 
 def test_check_requires_universe_depth_for_functors(tmp_path, capsys):
@@ -598,17 +598,18 @@ def test_recursion_overflow_maps_to_an_exit_code_without_traceback(
         assert proc.stderr.decode().startswith("error: ")
 
 
-def test_answers_nested_past_pythons_limit_end_a_search_as_a_cut(tmp_path, cli_env):
-    # each answer is one s(...) deeper; resolving one overflows Python's
-    # stack long before the depth cap
+def test_answers_nested_past_pythons_limit_print_in_order(tmp_path, cli_env):
+    # the 500th answer is nested 499 deep, past what a recursive printer
+    # reaches within Python's default limit of 1,000 frames
     module = tmp_path / "nat.plt"
     module.write_text(NAT, encoding="utf-8")
-    proc = _run_cli(["--module", str(module), "--query", "nat(X)", "--all"], tmp_path, cli_env)
+    args = ["--module", str(module), "--query", "nat(X)", "--max-solutions", "500"]
+    proc = _run_cli(args, tmp_path, cli_env)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
-    lines = proc.stdout.decode().splitlines()
-    assert lines[:2] == ["X = z", "X = s(z)"] and lines[-1] == "incomplete search."
-    assert 100 < len(lines) < 10_000
+    assert proc.stdout.decode().splitlines() == [
+        f"X = {'s(' * i}z{')' * i}" for i in range(500)
+    ]
 
 
 def test_repl_reports_recursion_overflow_and_keeps_reading(tmp_path):
@@ -619,7 +620,7 @@ def test_repl_reports_recursion_overflow_and_keeps_reading(tmp_path):
     script = (
         ":set max_solutions all\n"
         f"p(a).\n:more\nq(X).\n:load {deep}\n:more\n"
-        "nat(X).\n" + ":more\n" * 2000 + ":quit\n"
+        "nat(X).\n" + ":more\n" * 500 + ":quit\n"
     )
     code, out = _repl(script, modules=[str(mod)])
     assert code == 0
@@ -629,10 +630,51 @@ def test_repl_reports_recursion_overflow_and_keeps_reading(tmp_path):
     # a load that overflows is an error that keeps the running query
     assert "error: maximum recursion depth exceeded" in out
     assert out.index("X = a") < out.index("error: ") < out.index("X = b")
-    # answers nested past Python's stack end the stream as a cut
-    rest = out[out.index("X = z"):]
-    assert "?- incomplete search.\n?- no active query." in rest
-    assert "error: " not in rest
+    # answers nested past Python's stack print like any other
+    rest = out[out.index("X = z"):].split("?- ")
+    assert rest == [f"X = {'s(' * i}z{')' * i}\n" for i in range(501)] + [""]  # then :quit
+
+
+CYCLE = "eq(X, X).\nq(X, Y) :- eq(X, f(Y)), eq(Y, g(X)).\n"
+
+
+def test_cyclic_terms_unify_with_the_occurs_check_off(tmp_path, capsys):
+    module = tmp_path / "cycle.plt"
+    module.write_text(CYCLE, encoding="utf-8")
+    argv = ["--module", str(module), "--query", "q(A, B), eq(B, B)",
+            "--occurs-check", "off", "--groundness", "lenient"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "B = g(f(B))  (non-ground)\nA = f(g(A))  (non-ground)\n"
+    # with the occurs check on, q(A, B) itself fails
+    assert main(argv[:4] + ["--groundness", "lenient"]) == 1
+    assert capsys.readouterr().out == "no.\n"
+
+
+@pytest.mark.parametrize("query, args, first", [
+    ("p(_)", [], "yes."),
+    ("p(X)", [], f"X = {_nested(400)}"),
+    ("p(X)", ["--trace"], f"X = {_nested(400)}"),
+    ("p(X)", ["--format", "json"], None),
+], ids=["yes", "text", "trace", "json"])
+def test_a_fact_nested_400_deep_answers(query, args, first, tmp_path, cli_env):
+    # the occurs check and the printers walk the term in loops
+    module = tmp_path / "deep.plt"
+    module.write_text(f"p({_nested(400)}).\n", encoding="utf-8")
+    proc = _run_cli(["--module", str(module), "--query", query, *args], tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    lines = proc.stdout.decode().splitlines()
+    if first is None:
+        doc = json.loads(lines[0])
+        assert doc["status"] == "success"
+        assert doc["answers"] == [{"var": "X", "term": _nested(400)}]
+        assert doc["trace"][0]["clause"] == f"p({_nested(400)})"
+    else:
+        assert lines[0] == first
+    if "--trace" in args:
+        assert lines[1] == f"1. bc(p({_nested(400)}), deep, p({_nested(400)}), nil)"
+    else:
+        assert len(lines) == 1
 
 
 @pytest.mark.parametrize("command, code", [("run", 2), ("check", 2), ("repl", 0)])

@@ -12,12 +12,15 @@ from prologtheta.terms import (
     Unknown,
     Var,
     compound,
+    fold_term,
     fresh_unknown,
     fresh_var,
     is_ground,
     resolve_term,
+    subterms,
     unify_into,
 )
+from prologtheta.parser import format_term
 
 X = Var("X", 9001)
 Y = Var("Y", 9002)
@@ -108,6 +111,51 @@ def test_is_ground():
     assert is_ground(compound("phone", tom, cs, Const("4450")))
     assert not is_ground(compound("phone", Const("sue"), X))
     assert is_ground(compound("phone", Const("sue"), fresh_unknown()))
+
+
+def test_subterms_and_fold_term_visit_leaves_left_to_right():
+    term = compound("f", compound("g", tom, X), cs, compound("h", Y))
+    assert [format_term(t) for t in subterms(term)] == [
+        "f(g(tom, X), cs, h(Y))", "g(tom, X)", "tom", "X", "cs", "h(Y)", "Y",
+    ]
+    leaves = []
+    text = fold_term(term, lambda t: leaves.append(t) or format_term(t).upper(),
+                     lambda functor, args: f"{functor}[{' '.join(args)}]")
+    assert leaves == [tom, X, cs, Y]
+    assert text == "f[g[TOM X] CS h[Y]]"
+    assert format_term(fold_term(term, lambda t: Z if t == X else t)) == "f(g(tom, Z), cs, h(Y))"
+    assert fold_term(tom, lambda t: "leaf") == "leaf"
+
+
+def _deep(depth, leaf):
+    term = leaf
+    for _ in range(depth):
+        term = compound("f", term)
+    return term
+
+
+def test_terms_ten_thousand_deep_are_walked_in_loops():
+    # past Python's recursion limit; compare text, as dataclass == recurses
+    var_side, ground_side = _deep(10_000, X), _deep(10_000, tom)
+    assert not is_ground(var_side) and is_ground(ground_side)
+    text = format_term(ground_side)
+    assert text == "f(" * 10_000 + "tom" + ")" * 10_000
+    bindings, trail = {}, []
+    assert unify_into(var_side, ground_side, bindings, trail)
+    assert trail == [X.id] and bindings[X.id] == tom
+    assert format_term(resolve_term(var_side, bindings)) == text
+    assert not unify_into(Y, _deep(10_000, Y), {}, [])  # the occurs check
+    assert unify_into(Y, _deep(10_000, Y), {}, [], occurs_check=False)
+
+
+def test_unifying_cyclic_terms_ends_with_the_occurs_check_off():
+    # X = f(X) and Y = f(f(Y)) denote the same infinite tree
+    bindings, trail = {}, []
+    assert unify_into(X, compound("f", X), bindings, trail, occurs_check=False)
+    assert unify_into(Y, compound("f", compound("f", Y)), bindings, trail, occurs_check=False)
+    assert unify_into(X, Y, bindings, trail, occurs_check=False)
+    assert trail == [X.id, Y.id]  # no binding was needed
+    assert not unify_into(X, compound("f", compound("g", Z)), bindings, [], occurs_check=False)
 
 
 def test_fresh_var_ids_are_distinct():
