@@ -23,7 +23,7 @@ from typing import Optional, TextIO
 from .terms import is_ground
 from .syntax import desugar_query_vars
 from .parser import ParseError, format_term, parse_query
-from .loader import LoadError, Program, combine, load_path
+from .loader import Program, combine, load_path
 from .engine import (
     EngineError,
     SolveConfig,
@@ -36,21 +36,19 @@ from .engine import (
 )
 from .fuzz import differential_check, fuzz_run, has_compound_terms
 
+_BINDING_SCHEMA = {
+    "type": "object",
+    "required": ["var", "term"],
+    "additionalProperties": False,
+    "properties": {"var": {"type": "string"}, "term": {"type": "string"}},
+}
 TRACE_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "required": ["answers", "trace", "status"],
     "additionalProperties": False,
     "properties": {
-        "answers": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["var", "term"],
-                "additionalProperties": False,
-                "properties": {"var": {"type": "string"}, "term": {"type": "string"}},
-            },
-        },
+        "answers": {"type": "array", "items": _BINDING_SCHEMA},
         "trace": {
             "type": "array",
             "items": {
@@ -62,20 +60,7 @@ TRACE_SCHEMA = {
                     "kind": {"enum": ["bc", "pv"]},
                     "clause": {"type": "string"},
                     "goal": {"type": "string"},
-                    "theta": {
-                        "oneOf": [
-                            {"type": "null"},
-                            {
-                                "type": "object",
-                                "required": ["var", "term"],
-                                "additionalProperties": False,
-                                "properties": {
-                                    "var": {"type": "string"},
-                                    "term": {"type": "string"},
-                                },
-                            },
-                        ]
-                    },
+                    "theta": {"oneOf": [{"type": "null"}, _BINDING_SCHEMA]},
                 },
             },
         },
@@ -142,7 +127,7 @@ class SessionState:
         self.config = config
 
     def load(self, path: str) -> None:
-        """Add a module; on a LoadError the session is left as it was."""
+        """Add a module; on a ParseError the session is left as it was."""
         modules = [*self.modules, load_path(path)]
         self.program = combine(modules)
         self.modules = modules
@@ -177,7 +162,7 @@ def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             print("error: run needs --query", file=err)
             return 2
         session = state.start_query(args.query)
-    except (ParseError, LoadError, EngineError, ValueError) as exc:
+    except (ParseError, EngineError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 
@@ -224,7 +209,7 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
     printer = _Printer(out)
     try:
         state = SessionState([load_path(p) for p in args.module], _config_from_args(args, False))
-    except (ParseError, LoadError, ValueError) as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     show_trace = bool(args.trace)
@@ -289,7 +274,7 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
                         printer.plain(f"unknown setting: {key} {value}")
                 else:
                     printer.plain(f"unknown command: {line}  (:help for help)")
-            except (ParseError, LoadError, ValueError, RecursionError) as exc:
+            except (ParseError, ValueError, RecursionError) as exc:
                 # RecursionError here comes from loading a module nested too deeply
                 printer.plain(f"error: {exc}")
             continue
@@ -301,7 +286,7 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
                 active = None
             else:
                 emit_solution(sol)
-        except (ParseError, LoadError, EngineError, RecursionError) as exc:
+        except (ParseError, EngineError, RecursionError) as exc:
             # RecursionError here comes from reading a query nested too deeply
             printer.plain(f"error: {exc}")
             active = None
@@ -352,7 +337,7 @@ def run_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             )
             return 2
         report = differential_check(program, goal, **kwargs)
-    except (ParseError, LoadError, EngineError) as exc:
+    except (ParseError, EngineError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     if report.status == "match":

@@ -323,10 +323,9 @@ class SolveSession:
     def __init__(self, program: Program, goal: Goal, config: SolveConfig):
         # a copy: the query may name predicates the program does not, and
         # those must not enter a table that other sessions share
-        issues = wellformed(goal, arities=program.arities(), allow_unknowns=True)
+        issues = wellformed(goal, arities=program.arities())
         if issues:
             raise EngineError("; ".join(issues))
-        self.program = program
         self.goal = goal
         self.config = config
         self.search = ProofSearch(program, config)
@@ -409,18 +408,12 @@ def format_proof(trace: ProofTrace, answer) -> str:
     if trace.steps and isinstance(trace.steps[-1].focus, Program):
         label = trace.steps[-1].focus.name
 
-    def shown_goal(text: str) -> str:
-        # parenthesize goals with a top-level comma so step arguments stay
-        # unambiguous; the parenthesized form reparses to the same goal
-        depth = 0
-        for ch in text:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return f"({text})"
-        return text
+    def shown_goal(goal: Goal, text: str) -> str:
+        # parenthesize a conjunction, also under binders, so step arguments
+        # stay unambiguous; the parenthesized form reparses to the same goal
+        while type(goal) is Exists:
+            goal = goal.body
+        return f"({text})" if type(goal) is Conj else text
 
     lines = []
     for step, clause, goal in step_texts(trace):
@@ -428,7 +421,7 @@ def format_proof(trace: ProofTrace, answer) -> str:
         if step.kind == "bc":
             lines.append(f"{step.index}. bc({clause}, {label}, {goal}, {theta})")
         else:
-            lines.append(f"{step.index}. pv({label}, {shown_goal(goal)}, {theta})")
+            lines.append(f"{step.index}. pv({label}, {shown_goal(step.goal, goal)}, {theta})")
     pairs = ", ".join(
         f"{shown} = {format_term(term)}"
         for shown, (_, term) in zip(display_names(answer), answer)

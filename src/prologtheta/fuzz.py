@@ -17,9 +17,9 @@ from typing import Optional
 
 from .terms import Compound
 from .loader import Program, load
-from .parser import parse_query
+from .parser import format_term, parse_query
 from .syntax import desugar_query_vars, iter_atoms, silent_twin
-from .engine import SolveConfig, format_theta, solve
+from .engine import SolveConfig, solve
 from .oracle import OracleOverflow, herbrand_universe, oracle_solve
 
 _CONSTS = ["a", "b", "c", "d"]
@@ -151,22 +151,21 @@ def differential_check(
     goal,
     *,
     max_depth: int = 64,
-    max_solutions: int = 10_000,
     universe_depth: int = 0,
-    work_limit: int = 2_000_000,
     occurs_check: bool = True,
 ) -> CheckReport:
     """Compare the engine's strict-mode answer set against the oracle's,
-    both bounded by ``max_depth`` nested calls."""
+    both bounded by ``max_depth`` nested calls, as ``(name, text)`` pairs:
+    a printed term is hashed in a loop, however deep it is."""
     config = SolveConfig(
         groundness_mode="strict",
         max_depth=max_depth,
-        max_solutions=max_solutions,
+        max_solutions=10_000,
         occurs_check=occurs_check,
         trace_enabled=False,
     )
     session = solve(program, goal, config)
-    engine_answers = frozenset(sol.answer for sol in session)
+    engine_answers = frozenset(_texts(sol.answer) for sol in session)
     if session.incomplete:
         return CheckReport(
             status="incomplete",
@@ -174,10 +173,9 @@ def differential_check(
             detail="engine search hit the depth limit; cannot certify",
         )
     try:
-        universe = herbrand_universe(program, universe_depth)
-        oracle_answers = oracle_solve(
-            program, goal, universe, depth_bound=max_depth, work_limit=work_limit
-        )
+        universe = herbrand_universe(program, universe_depth, goal)
+        oracle_answers = frozenset(
+            map(_texts, oracle_solve(program, goal, universe, depth_bound=max_depth)))
     except OracleOverflow as err:
         return CheckReport(status="overflow", engine_answers=engine_answers, detail=str(err))
     if engine_answers == oracle_answers:
@@ -190,9 +188,13 @@ def differential_check(
     )
 
 
+def _texts(answer) -> tuple:
+    return tuple((name, format_term(term)) for name, term in answer)
+
+
 def _describe_mismatch(engine_answers: frozenset, oracle_answers: frozenset) -> str:
     def show(answers) -> str:
-        rows = sorted("[" + ", ".join(map(format_theta, ans)) + "]" for ans in answers)
+        rows = sorted("[" + ", ".join(f"<{n}, {t}>" for n, t in ans) + "]" for ans in answers)
         return "{" + ", ".join(rows) + "}"
 
     missing = oracle_answers - engine_answers

@@ -17,13 +17,7 @@ from .terms import Compound, Const, Term, Unknown, fresh_unknown
 from .syntax import Clause, Forall, desugar_clause_vars, wellformed
 from .parser import ParseError, ParseIssue, SourceModule, parse_module
 
-
-class LoadError(Exception):
-    """Aggregated parse / Skolemization / well-formedness failures."""
-
-    def __init__(self, issues: list[ParseIssue]):
-        self.issues = list(issues)
-        super().__init__("; ".join(str(i) for i in self.issues))
+LoadError = ParseError  # parse, Skolemization and well-formedness issues alike
 
 
 def first_arg_key(term: Term):
@@ -126,8 +120,7 @@ def skolemize(module: SourceModule) -> Program:
         except ValueError as err:
             issues.append(ParseIssue(str(err), line, col))
             continue
-        problems = wellformed(clause, arities=arities, allow_unknowns=True)
-        issues.extend(ParseIssue(p, line, col) for p in problems)
+        issues.extend(ParseIssue(p, line, col) for p in wellformed(clause, arities=arities))
         closed.append(clause)
     if issues:
         raise LoadError(issues)
@@ -138,11 +131,7 @@ def skolemize(module: SourceModule) -> Program:
 
 def load(source: str, *, name: Optional[str] = None) -> Program:
     """Parse and Skolemize program text."""
-    try:
-        module = parse_module(source, default_name=name or "main")
-    except ParseError as err:
-        raise LoadError(err.issues) from None
-    return skolemize(module)
+    return skolemize(parse_module(source, default_name=name or "main"))
 
 
 def load_path(path: Union[str, Path]) -> Program:
@@ -155,9 +144,9 @@ def load_path(path: Union[str, Path]) -> Program:
     return load(text, name=default_name)
 
 
-def combine(programs: Iterable[Program], name: str = "program") -> Program:
+def combine(programs: Iterable[Program]) -> Program:
     """Concatenate loaded programs in load order; no programs make an
-    empty one.
+    empty one, named ``program``.
 
     Predicate arities must stay consistent across modules; unknowns from
     different modules are already distinct by construction.
@@ -171,10 +160,8 @@ def combine(programs: Iterable[Program], name: str = "program") -> Program:
     issues: list[ParseIssue] = []
     for prog in programs:
         for clause in prog.clauses:
-            problems = wellformed(clause, arities=arities, allow_unknowns=True)
-            issues.extend(
-                ParseIssue(f"in module {prog.name}: {p}", 0, 0) for p in problems
-            )
+            issues.extend(ParseIssue(f"in module {prog.name}: {p}", 0, 0)
+                          for p in wellformed(clause, arities=arities))
         clauses.extend(prog.clauses)
         for decl, unk in prog.unknown_table.items():
             key = decl if decl not in table else f"{prog.name}.{decl}"
@@ -182,5 +169,5 @@ def combine(programs: Iterable[Program], name: str = "program") -> Program:
     if issues:
         raise LoadError(issues)
     return Program(
-        name=name, clauses=tuple(clauses), unknown_table=table, arity_table=arities
+        name="program", clauses=tuple(clauses), unknown_table=table, arity_table=arities
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .terms import Compound, Const, Term, Unknown, Var
 from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule, iter_atoms
@@ -31,7 +31,6 @@ class Universe:
     """Ground terms available for instantiation choices."""
 
     terms: tuple[Term, ...]
-    depth_bound: int
 
 
 def _collect_ground_leaves(term: Term, consts: list, functors: list) -> None:
@@ -49,18 +48,20 @@ def _collect_ground_leaves(term: Term, consts: list, functors: list) -> None:
 _UNIVERSE_CAP = 50_000
 
 
-def herbrand_universe(program: Program, depth_bound: int = 0) -> Universe:
-    """All ground terms over the program's constants, Unknowns, and
-    functors, with nesting at most ``depth_bound``.
+def herbrand_universe(
+    program: Program, depth_bound: int = 0, goal: Optional[Goal] = None
+) -> Universe:
+    """All ground terms over the constants, Unknowns, and functors of the
+    program and of ``goal``, with nesting at most ``depth_bound``.
 
-    Constants appear in first-occurrence order.  A program without
-    constants has an empty universe: compounds need arguments, so no depth
+    Constants appear in first-occurrence order, the goal's last.  Without
+    constants the universe is empty: compounds need arguments, so no depth
     bound can conjure terms from nothing.
     """
     consts: list[Term] = []
     functors: list[tuple[str, int]] = []
-    for clause in program.clauses:
-        for a in iter_atoms(clause):
+    for node in program.clauses if goal is None else (*program.clauses, goal):
+        for a in iter_atoms(node):
             for term in a.args:
                 _collect_ground_leaves(term, consts, functors)
     terms: list[Term] = list(consts)
@@ -83,7 +84,7 @@ def herbrand_universe(program: Program, depth_bound: int = 0) -> Universe:
         if not new:
             break
         terms.extend(new)
-    return Universe(terms=tuple(terms), depth_bound=depth_bound)
+    return Universe(terms=tuple(terms))
 
 
 AnswerList = tuple[tuple[str, Term], ...]
@@ -125,7 +126,6 @@ class _Enumerator:
         self.work_limit = work_limit
         self.work = 0
         self.memo: dict[tuple[Atom, int], frozenset] = {}
-        self.members = frozenset(universe.terms)
 
     def _tick(self) -> None:
         self.work += 1
@@ -182,15 +182,15 @@ class _Enumerator:
                 return frozenset()
             return self.prove(clause.body, cenv, depth - 1)
         if isinstance(clause, Forall):
-            # a binder the head shows is fixed by matching it with the target
+            # a binder the head shows is fixed by matching it with the target,
+            # also to a term outside the universe
             core, fixed = clause, dict(cenv)
             while isinstance(core, Forall):
                 core = core.inner
             if core.head.pred != target.pred or not _match(core.head.args, target.args, fixed):
                 return frozenset()
             value = fixed.get(clause.var.id)
-            picks = self.universe.terms if value is None else (
-                (value,) if value in self.members else ())
+            picks = self.universe.terms if value is None else (value,)
             out = set()
             for pick in picks:
                 sub = self.chain(clause.inner, {**cenv, clause.var.id: pick}, target, depth)

@@ -23,6 +23,7 @@ don't-know constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .terms import Compound, Const, Star, Term, Unknown, Var, fold_term, fresh_var
 from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule
@@ -41,7 +42,8 @@ class ParseIssue:
 
 
 class ParseError(Exception):
-    """Raised with the full list of issues found in the input."""
+    """Raised with the full list of issues found in the input; loading
+    raises it too, as ``loader.LoadError``."""
 
     def __init__(self, issues: list[ParseIssue]):
         self.issues = list(issues)
@@ -158,14 +160,11 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                [ParseIssue(f"expected {what}, found {tok.text or 'end of input'!r}",
-                            tok.line, tok.col)]
-            )
+            self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
         return self.take()
 
-    def fail(self, message: str) -> None:
-        tok = self.peek()
+    def fail(self, message: str, tok: Optional[_Token] = None) -> None:
+        tok = tok or self.peek()
         raise ParseError([ParseIssue(message, tok.line, tok.col)])
 
     def var_for(self, name: str) -> Var:
@@ -227,17 +226,19 @@ class _Parser:
 
     def parse_goal_group(self) -> Goal:
         """A comma-separated group; binders swallow the rest of the group."""
+        # a binder's body goes on in this loop, so a chain of binders costs
+        # no stack: ``outer`` keeps each binder and the items before it
+        outer: list[tuple[list[Goal], str, bool]] = []
         items: list[Goal] = []
         while True:
             tok = self.peek()
             if tok.kind == "lower" and tok.text in ("some", "some*"):
-                noisy = tok.text == "some*"
                 self.take()
                 var_tok = self.expect("upper", "a variable after the binder")
                 self.expect("colon", "':'")
-                body = self.parse_goal_group()
-                items.append(Exists(self.var_for(var_tok.text), body, noisy))
-                break
+                outer.append((items, var_tok.text, tok.text == "some*"))
+                items = []
+                continue
             if tok.kind == "lower" and tok.text in ("all", "all*"):
                 self.fail("universal binders are not allowed in goals")
             if tok.kind == "lparen":
@@ -250,10 +251,15 @@ class _Parser:
                 self.take()
                 continue
             break
-        goal = items[-1]
-        for item in reversed(items[:-1]):
-            goal = Conj(item, goal)
-        return goal
+        while True:
+            goal = items.pop()
+            while items:
+                goal = Conj(items.pop(), goal)
+            if not outer:
+                return goal
+            # the innermost binder's name resolves first, as it would nested
+            items, name, noisy = outer.pop()
+            items.append(Exists(self.var_for(name), goal, noisy))
 
     # -- clauses ----------------------------------------------------------
 
@@ -315,13 +321,9 @@ def parse_module(text: str, default_name: str = "main") -> SourceModule:
                 name_tok = parser.take()
                 parser.expect("period", "'.' after the module header")
                 if had_header:
-                    raise ParseError(
-                        [ParseIssue("duplicate module header", tok.line, tok.col)]
-                    )
+                    parser.fail("duplicate module header", tok)
                 if clauses or unknown_decls:
-                    raise ParseError(
-                        [ParseIssue("module header must come first", tok.line, tok.col)]
-                    )
+                    parser.fail("module header must come first", tok)
                 name = name_tok.text
                 had_header = True
                 continue
@@ -333,15 +335,10 @@ def parse_module(text: str, default_name: str = "main") -> SourceModule:
                     decl_toks.append(parser.expect("upper", "a name"))
                 parser.expect("period", "'.' after the unknown declaration")
                 if clauses:
-                    raise ParseError(
-                        [ParseIssue("unknown declaration must precede clauses",
-                                    tok.line, tok.col)]
-                    )
+                    parser.fail("unknown declaration must precede clauses", tok)
                 for t in decl_toks:
                     if t.text in unknown_decls:
-                        raise ParseError(
-                            [ParseIssue(f"duplicate unknown name {t.text}", t.line, t.col)]
-                        )
+                        parser.fail(f"duplicate unknown name {t.text}", t)
                     unknown_decls.append(t.text)
                 continue
             # each clause resolves names in its own scope
@@ -412,29 +409,35 @@ def format_atom(a: Atom) -> str:
 def format_goal(goal: Goal) -> str:
     if isinstance(goal, Atom):
         return format_atom(goal)
+    # a binder chain and a rule body's Conj spine are loops: length costs no stack
+    parts = []
+    while isinstance(goal, Exists):
+        parts.append(f"{'some*' if goal.noisy else 'some'} {goal.var.name} : ")
+        goal = goal.body
     if isinstance(goal, Conj):
-        # a rule body is a right-nested Conj chain: walk its spine in a loop
-        parts = []
+        conjuncts = []
         while isinstance(goal, Conj):
             left = format_goal(goal.left)
-            parts.append(f"({left})" if isinstance(goal.left, (Conj, Exists)) else left)
+            conjuncts.append(f"({left})" if isinstance(goal.left, (Conj, Exists)) else left)
             goal = goal.right
-        parts.append(format_goal(goal))
-        return ", ".join(parts)
-    if isinstance(goal, Exists):
-        binder = "some*" if goal.noisy else "some"
-        return f"{binder} {goal.var.name} : {format_goal(goal.body)}"
-    raise TypeError(f"not a goal: {goal!r}")
+        conjuncts.append(format_goal(goal))
+        parts.append(", ".join(conjuncts))
+    elif isinstance(goal, Atom):
+        parts.append(format_atom(goal))
+    else:
+        raise TypeError(f"not a goal: {goal!r}")
+    return "".join(parts)
 
 
-def format_clause(clause: Clause, with_period: bool = False) -> str:
+def format_clause(clause: Clause) -> str:
+    parts = []
+    while isinstance(clause, Forall):
+        parts.append(f"{'all*' if clause.noisy else 'all'} {clause.var.name} : ")
+        clause = clause.inner
     if isinstance(clause, Fact):
-        text = format_atom(clause.head)
+        parts.append(format_atom(clause.head))
     elif isinstance(clause, Rule):
-        text = f"{format_atom(clause.head)} :- {format_goal(clause.body)}"
-    elif isinstance(clause, Forall):
-        binder = "all*" if clause.noisy else "all"
-        text = f"{binder} {clause.var.name} : {format_clause(clause.inner)}"
+        parts.append(f"{format_atom(clause.head)} :- {format_goal(clause.body)}")
     else:
         raise TypeError(f"not a clause: {clause!r}")
-    return text + "." if with_period else text
+    return "".join(parts)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
 
-from .terms import Compound, Star, Term, Unknown, Var, fold_term, fresh_unknown, fresh_var, subterms
+from .terms import Compound, Star, Term, Var, fold_term, fresh_unknown, fresh_var, subterms
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,24 @@ def _fold(node, in_goal: bool, on_atom, on_binder, scope):
             while lefts:
                 out = Conj(lefts.pop(), out)
             return out
-        if isinstance(node, Exists):
-            var, noisy, inner = on_binder(node.var, node.noisy, scope)
-            return Exists(var, _fold(node.body, True, on_atom, on_binder, inner), noisy)
     elif isinstance(node, Fact):
         return Fact(on_atom(node.head, scope))
     elif isinstance(node, Rule):
         return Rule(on_atom(node.head, scope), _fold(node.body, True, on_atom, on_binder, scope))
-    elif isinstance(node, Forall):
-        var, noisy, inner = on_binder(node.var, node.noisy, scope)
-        return Forall(var, _fold(node.inner, False, on_atom, on_binder, inner), noisy)
+    binder = Exists if in_goal else Forall
+    if isinstance(node, binder):
+        # a closed query or clause starts with a chain of binders, one per
+        # variable: walk it in a loop, so that many variables cost no stack
+        chain = []
+        while isinstance(node, binder):
+            var, noisy, scope = on_binder(node.var, node.noisy, scope)
+            chain.append((var, noisy))
+            node = node.body if in_goal else node.inner
+        out = _fold(node, in_goal, on_atom, on_binder, scope)
+        while chain:
+            var, noisy = chain.pop()
+            out = binder(var, out, noisy)
+        return out
     if in_goal and isinstance(node, _CLAUSE_NODES):
         raise NodeError("universal/clause construct not allowed in a goal")
     if not in_goal and isinstance(node, (Conj, Exists)):
@@ -270,12 +278,7 @@ def desugar_query_vars(raw_goal: Goal) -> Goal:
 # Well-formedness.
 
 
-def wellformed(
-    node: Union[Goal, Clause],
-    *,
-    arities: Optional[dict] = None,
-    allow_unknowns: bool = False,
-) -> list[str]:
+def wellformed(node: Union[Goal, Clause], *, arities: Optional[dict] = None) -> list[str]:
     """Check closedness, arity consistency, and node placement.
 
     Returns a list of violation messages; empty means ok.  ``arities`` may
@@ -291,9 +294,6 @@ def wellformed(
             if isinstance(t, Var):
                 if t.id not in bound:
                     errors.append(f"unbound variable {t.name}")
-            elif isinstance(t, Unknown):
-                if not allow_unknowns:
-                    errors.append("don't-know constant not allowed here")
             elif isinstance(t, Star):
                 errors.append("placeholder '*' not allowed here")
 

@@ -18,11 +18,26 @@ from prologtheta.parser import parse_query
 from prologtheta.syntax import desugar_query_vars
 
 
-def test_known_cases_match():
-    case = FuzzCase("p(a).\np(b).\n", "some* X : p(X)")
-    report = check_case(case)
-    assert report.matched
-    assert len(report.engine_answers) == 2
+NAT = "nat(z).\nnat(s(X)) :- nat(X).\n"
+
+
+@pytest.mark.parametrize(
+    "program, query, universe_depth, answers",
+    [
+        ("p(a).\np(b).\n", "some* X : p(X)", 0, 2),
+        # a term that only the query has, whether a clause head fixes it or
+        # a body variable takes it, and a head-fixed term deeper than the
+        # universe: the oracle derives them as the engine does
+        ("p(X).\n", "p(a)", 0, 1),
+        ("q(Y, Y).\nr(W).\np(Y) :- q(Y, Z), r(Z).\n", "p(c)", 0, 1),
+        (NAT, "nat(s(s(s(z))))", 1, 1),
+    ],
+    ids=["two-facts", "query-constant", "query-constant-in-body", "head-fixed-compound"],
+)
+def test_known_cases_match(program, query, universe_depth, answers):
+    report = check_case(FuzzCase(program, query), universe_depth=universe_depth)
+    assert report.matched, report.detail
+    assert len(report.engine_answers) == answers
 
 
 def test_generator_is_deterministic_per_seed():
@@ -69,6 +84,11 @@ def test_uncertifiable_search_is_reported_incomplete():
     goal = desugar_query_vars(parse_query("p"))
     report = differential_check(prog, goal, max_depth=16)
     assert report.status == "incomplete"
+    # answers nested 500 deep are compared as text, which costs no stack
+    goal = desugar_query_vars(parse_query("nat(X)"))
+    report = differential_check(load(NAT), goal, max_depth=500, universe_depth=2)
+    assert report.status == "incomplete"
+    assert len(report.engine_answers) == 500
 
 
 @pytest.mark.parametrize("edges, max_depth", [(6, 64), (6, 8), (20, 64)])

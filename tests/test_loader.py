@@ -172,9 +172,21 @@ def test_unknown_numbering_follows_declarations_then_stars_in_text_order():
         "r(K) :- p(f(K, _), _).\n"
         "s(*, k(*)).\n"
     )
-    assert [format_clause(c, with_period=True) for c in prog.clauses] == [
+    assert [format_clause(c) + "." for c in prog.clauses] == [
         "p(f(?k2, g(?k3, ?k1)), ?k4).",
         "all X : q(X, h(?k5, ?k1), ?k6).",
         "all _ : all _ : r(?k1) :- p(f(?k1, _), _).",
         "s(?k7, k(?k8)).",
     ]
+
+
+def test_a_fact_of_five_thousand_variables_loads_answers_and_round_trips():
+    # its clause is a chain of 5,000 universals, walked in loops
+    from prologtheta import SolveConfig, desugar_query_vars, parse_query, solve
+
+    prog = load("p(" + ", ".join(f"X{i}" for i in range(5000)) + ").")
+    goal = desugar_query_vars(parse_query("p(" + ", ".join(["a"] * 5000) + ")"))
+    assert solve(prog, goal, SolveConfig(trace_enabled=False)).next_solution().answer == ()
+    text = format_clause(prog.clauses[0])
+    assert text.startswith("all X0 : all X1 : ")
+    assert format_clause(parse_module(text + ".").raw_clauses[0]) == text

@@ -98,7 +98,7 @@ def test_monotonicity_in_depth_and_universe():
 
     from prologtheta.oracle import Universe
 
-    smaller = Universe(terms=uni.terms[:4], depth_bound=0)
+    smaller = Universe(terms=uni.terms[:4])
     assert oracle_solve(prog, goal, smaller) <= oracle_solve(prog, goal, uni)
 
 

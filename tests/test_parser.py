@@ -233,7 +233,7 @@ def test_a_flat_body_of_ten_thousand_atoms_round_trips():
     text = "p :- " + ", ".join(f"q(c{i})" for i in range(10_000))
     rule = parse_module(text + ".").raw_clauses[0]
     assert format_clause(rule) == text
-    again = parse_module(format_clause(rule, with_period=True)).raw_clauses[0]
+    again = parse_module(format_clause(rule) + ".").raw_clauses[0]
 
     def spine(goal):
         # the body's conjuncts, compared one by one: == on the whole chain

@@ -13,7 +13,7 @@ from prologtheta.syntax import (
     silent_twin,
     wellformed,
 )
-from prologtheta.parser import parse_module, parse_query
+from prologtheta.parser import format_goal, parse_module, parse_query
 
 
 def clause(text):
@@ -147,12 +147,20 @@ def test_wellformed_rejects_existential_inside_clause():
     assert any("existential" in e for e in errs)
 
 
-def test_wellformed_rejects_unknowns_in_source_positions():
+def test_wellformed_accepts_unknowns():
+    # don't-know constants cannot be written in source; loading makes them
     from prologtheta.terms import Unknown
 
-    errs = wellformed(Fact(atom("p", Unknown(1))))
-    assert any("don't-know" in e for e in errs)
-    assert wellformed(Fact(atom("p", Unknown(1))), allow_unknowns=True) == []
+    assert wellformed(Fact(atom("p", Unknown(1)))) == []
+
+
+def test_a_query_of_five_thousand_free_variables_is_closed_and_round_trips():
+    # closing it nests 5,000 existentials, which every pass walks in a loop
+    goal = desugar_query_vars(parse_query("p(" + ", ".join(f"Y{i}" for i in range(5000)) + ")"))
+    assert wellformed(goal) == []
+    text = format_goal(goal)
+    assert text.startswith("some* Y0 : some* Y1 : ")
+    assert format_goal(parse_query(text)) == text
 
 
 def test_wellformed_rejects_arity_conflicts_across_table():
