@@ -12,10 +12,10 @@ exhaustive one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .terms import Compound
+from .terms import Compound, is_ground
 from .loader import Program, load
 from .parser import format_term, parse_query
 from .syntax import desugar_query_vars, iter_atoms, silent_twin
@@ -180,6 +180,16 @@ def differential_check(
         return CheckReport(status="overflow", engine_answers=engine_answers, detail=str(err))
     if engine_answers == oracle_answers:
         return CheckReport("match", engine_answers, oracle_answers)
+    # strict mode drops an answer whose noisy witness nothing grounds, which
+    # the oracle grounds with each universe term: such sets do not compare
+    lenient = solve(program, goal, replace(config, groundness_mode="lenient"))
+    if any(not is_ground(term) for sol in lenient for _, term in sol.answer):
+        return CheckReport(
+            status="incomplete",
+            engine_answers=engine_answers,
+            oracle_answers=oracle_answers,
+            detail="strict mode dropped a non-ground answer; cannot certify",
+        )
     return CheckReport(
         status="mismatch",
         engine_answers=engine_answers,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .terms import Compound, Const, Term, Unknown, Var
 from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule, iter_atoms
@@ -48,9 +48,7 @@ def _collect_ground_leaves(term: Term, consts: list, functors: list) -> None:
 _UNIVERSE_CAP = 50_000
 
 
-def herbrand_universe(
-    program: Program, depth_bound: int = 0, goal: Optional[Goal] = None
-) -> Universe:
+def herbrand_universe(program: Program, depth_bound: int, goal: Goal) -> Universe:
     """All ground terms over the constants, Unknowns, and functors of the
     program and of ``goal``, with nesting at most ``depth_bound``.
 
@@ -60,7 +58,7 @@ def herbrand_universe(
     """
     consts: list[Term] = []
     functors: list[tuple[str, int]] = []
-    for node in program.clauses if goal is None else (*program.clauses, goal):
+    for node in (*program.clauses, goal):
         for a in iter_atoms(node):
             for term in a.args:
                 _collect_ground_leaves(term, consts, functors)

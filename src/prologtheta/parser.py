@@ -226,19 +226,17 @@ class _Parser:
 
     def parse_goal_group(self) -> Goal:
         """A comma-separated group; binders swallow the rest of the group."""
-        # a binder's body goes on in this loop, so a chain of binders costs
-        # no stack: ``outer`` keeps each binder and the items before it
-        outer: list[tuple[list[Goal], str, bool]] = []
         items: list[Goal] = []
         while True:
             tok = self.peek()
             if tok.kind == "lower" and tok.text in ("some", "some*"):
+                noisy = tok.text == "some*"
                 self.take()
                 var_tok = self.expect("upper", "a variable after the binder")
                 self.expect("colon", "':'")
-                outer.append((items, var_tok.text, tok.text == "some*"))
-                items = []
-                continue
+                body = self.parse_goal_group()
+                items.append(Exists(self.var_for(var_tok.text), body, noisy))
+                break
             if tok.kind == "lower" and tok.text in ("all", "all*"):
                 self.fail("universal binders are not allowed in goals")
             if tok.kind == "lparen":
@@ -251,15 +249,10 @@ class _Parser:
                 self.take()
                 continue
             break
-        while True:
-            goal = items.pop()
-            while items:
-                goal = Conj(items.pop(), goal)
-            if not outer:
-                return goal
-            # the innermost binder's name resolves first, as it would nested
-            items, name, noisy = outer.pop()
-            items.append(Exists(self.var_for(name), goal, noisy))
+        goal = items[-1]
+        for item in reversed(items[:-1]):
+            goal = Conj(item, goal)
+        return goal
 
     # -- clauses ----------------------------------------------------------
 

@@ -40,6 +40,20 @@ def test_known_cases_match(program, query, universe_depth, answers):
     assert len(report.engine_answers) == answers
 
 
+@pytest.mark.parametrize(
+    "program, query",
+    [("p(Y).\nq(b).\n", "some* X : p(X)"), ("p(Y).\n", "p(a), some* X : p(X)")],
+    ids=["unground-witness", "unground-witness-beside-query-constant"],
+)
+def test_a_dropped_non_ground_answer_is_reported_incomplete(program, query):
+    # strict mode drops the answer X = Y, which the oracle grounds with each
+    # universe term: the sets differ although neither prover is wrong
+    report = check_case(FuzzCase(program, query))
+    assert report.status == "incomplete", report.detail
+    assert report.engine_answers == frozenset()
+    assert report.oracle_answers
+
+
 def test_generator_is_deterministic_per_seed():
     first = [random_case(random.Random(99)) for _ in range(10)]
     second = [random_case(random.Random(99)) for _ in range(10)]

@@ -154,13 +154,13 @@ def test_wellformed_accepts_unknowns():
     assert wellformed(Fact(atom("p", Unknown(1)))) == []
 
 
-def test_a_query_of_five_thousand_free_variables_is_closed_and_round_trips():
+def test_a_query_of_five_thousand_free_variables_is_closed_and_formatted():
     # closing it nests 5,000 existentials, which every pass walks in a loop
-    goal = desugar_query_vars(parse_query("p(" + ", ".join(f"Y{i}" for i in range(5000)) + ")"))
+    names = [f"Y{i}" for i in range(5000)]
+    goal = desugar_query_vars(parse_query("p(" + ", ".join(names) + ")"))
     assert wellformed(goal) == []
-    text = format_goal(goal)
-    assert text.startswith("some* Y0 : some* Y1 : ")
-    assert format_goal(parse_query(text)) == text
+    assert format_goal(goal) == "".join(f"some* {n} : " for n in names) + (
+        "p(" + ", ".join(names) + ")")
 
 
 def test_wellformed_rejects_arity_conflicts_across_table():
