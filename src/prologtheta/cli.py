@@ -280,6 +280,7 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
             continue
         try:
             active = state.start_query(line)
+            active.search.may_snapshot = True  # for a `:trace on` before `:more`
             sol = active.next_solution()
             if sol is None:
                 printer.plain("incomplete search." if active.incomplete else "no.")

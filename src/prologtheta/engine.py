@@ -7,13 +7,18 @@ matches the atom.  ``ProofSearch.prove`` runs both in one loop over a
 continuation (goals still to prove and steps still to record) and a stack
 of choicepoints (atoms with clauses left to try), so a deep proof costs
 heap, not Python frames.  Backtracking undoes the trail and truncates the
-steps to the newest choicepoint's marks.
+steps to the newest choicepoint's marks.  Each clause is compiled on its
+first try, so a try allocates one list of fresh variables, runs the head's
+match ops and fills in the body's template (after the WAM's get
+instructions: Warren 1983).
 
 Every completed inference contributes one step to the proof; a step
 carries a binding exactly when it instantiated a noisy quantifier.  Steps
 are emitted in premise-first order, so step 1 is the deepest leaf and the
 last step is the root judgment on the whole query; this is the order in
-which traces are displayed.
+which traces are displayed.  A search that nothing may snapshot keeps as
+steps only the bindings of noisy ``some*`` binders and ``all*``
+universals, as its answer reads nothing else.
 
 The nondeterministic choice of an instantiation term is realized by logic
 variables, unification, and chronological backtracking over a trail.
@@ -38,6 +43,7 @@ from .syntax import (
     Fact,
     Forall,
     Goal,
+    fold,
     map_terms,
     subst_term,
     wellformed,
@@ -70,8 +76,8 @@ class SolveConfig:
 Theta = tuple[str, Term]
 
 # The depth limit of a search with no max_depth: a proof this deep holds
-# about 10 MB, so a search that never ends is cut and reported incomplete
-# in a fraction of a second instead of filling memory.
+# under 1 MB (8 MB traced), so a search that never ends is cut and reported
+# incomplete in a fraction of a second instead of filling memory.
 DEPTH_CAP = 10_000
 
 
@@ -128,19 +134,72 @@ class _Layer:
         return self.built
 
 
+class _AtomTemplate(Atom):
+    """A rule body atom with slot numbers among its terms' leaves."""
+
+
+def _compile(clause: Clause) -> tuple:
+    """``(clause, pred, names, head, body, noisy, layers, core)``: slot i is
+    the i-th universal (``names``), outermost first, and ``noisy`` the noisy
+    ones' (slot, name), innermost first.  A head op, one per argument in
+    pre-order, is a slot met first (i) or again (~i), a slot-free term,
+    ground and shared, or a compound with slots, ``(functor, ops, template
+    over slot numbers)``.  ``body`` is over slot numbers, None for a fact."""
+    layers, core = [], clause
+    while type(core) is Forall:
+        layers.append(core)
+        core = core.inner
+    slots = {layer.var.id: i for i, layer in enumerate(layers)}
+    met: set = set()
+
+    def head_leaf(t):
+        if type(t) is Var:
+            i = slots[t.id]
+            t = ~i if i in met else i
+            met.add(i)
+        return t
+
+    def head_node(functor: str, ops: tuple):
+        if not any(type(op) in (int, tuple) for op in ops):
+            return Compound(functor, ops)
+        return functor, ops, Compound(functor, tuple(
+            (op if op >= 0 else ~op) if type(op) is int else op[2] if type(op) is tuple else op
+            for op in ops))
+
+    def body_atom(a: Atom, _) -> Atom:
+        if all(map(is_ground, a.args)):
+            return a
+        return _AtomTemplate(a.pred, tuple(
+            fold_term(t, lambda v: slots.get(v.id, v) if type(v) is Var else v) for t in a.args))
+
+    head = tuple(arg if is_ground(arg) else fold_term(arg, head_leaf, head_node)
+                 for arg in core.head.args)
+    noisy = tuple((i, layer.var.name) for i, layer in enumerate(layers) if layer.noisy)[::-1]
+    return (clause, core.head.pred, tuple(layer.var.name for layer in layers), head,
+            None if type(core) is Fact else fold(core.body, body_atom), noisy, tuple(layers), core)
+
+
+def _instance(a: Atom, leaf) -> Atom:
+    """A body atom of a try: a template's slot numbers replaced by ``leaf``."""
+    return a if type(a) is Atom else Atom(a.pred, tuple([fold_term(t, leaf) for t in a.args]))
+
+
 class ProofSearch:
     """One in-progress search: owns its bindings, trail, and step list.
 
-    A search is single threaded.  Several searches over the same immutable
-    Program may run in parallel.
+    Unless ``may_snapshot`` (``trace_enabled``, or set by a caller before
+    the first solution), the steps are only the noisy binders' thetas,
+    which is all ``answer`` reads.  A search is single threaded.  Several
+    searches over the same immutable Program may run in parallel.
     """
 
     def __init__(self, program: Program, config: SolveConfig = SolveConfig()):
         self.program = program
         self.config = config
+        self.may_snapshot = config.trace_enabled
         self.bindings: dict[int, Term] = {}
         self.trail: list[int] = []
-        self.steps: list[tuple] = []  # (kind, focus, goal, theta)
+        self.steps: list[tuple] = []  # (kind, focus, goal, theta), or the thetas alone
         self.depth_clipped = False
 
     # -- bookkeeping --------------------------------------------------------
@@ -163,62 +222,64 @@ class ProofSearch:
             return table.every
         return table.lookup(first_arg_key(first))
 
-    def backchain(self, clause: Clause, goal: Atom, depth: int, cont: tuple) -> Optional[tuple]:
-        """Try ``clause`` on ``goal``, renaming its universals once: the
-        continuation that proves its body one call deeper, records its bc
-        steps and the atom's pv step, then goes on with ``cont``; or None
-        when the head does not match."""
-        layers, core = [], clause  # the Forall layers, outermost first, and the core
-        while type(core) is Forall:
-            layers.append(core)
-            core = core.inner
-        renaming = {layer.var.id: fresh_var(layer.var.name) for layer in layers}
-        if core.head.pred != goal.pred or len(core.head.args) != len(goal.args):
-            return None
-        if not self._match(core.head.args, goal.args, renaming):
-            return None
-        witnesses = list(renaming.values())
-        thetas = [(layer.var.name, w) if layer.noisy else None
-                  for layer, w in zip(layers, witnesses)] + [None]  # the core's last
-        group = [("bc", _Layer((layers, core), witnesses, i) if i else clause, goal, thetas[i])
-                 for i in range(len(layers), -1, -1)]
-        group.append(("pv", self.program, goal, None))
-        if isinstance(core, Fact):
-            return None, group, cont
-        return map_terms(core.body, partial(subst_term, renaming)), depth + 1, (None, group, cont)
+    def backchain(self, clause: Clause, goal: Atom, depth: int, cont: tuple):
+        """Try ``clause``, a program clause, on ``goal`` with one fresh
+        variable per universal: the continuation that proves its body one
+        call deeper, records its bc steps and the atom's pv step (or their
+        thetas alone), then goes on with ``cont``; or False when the head
+        does not match.  A slot met first, and a goal variable met by a
+        slot-free op, bind with no occurs check: neither can make a cycle."""
+        code = self.program.compiled.get(id(clause))
+        if code is None or code[0] is not clause:  # not compiled yet, or a stale id
+            code = self.program.compiled[id(clause)] = _compile(clause)
+        _, pred, names, head, body, noisy, layers, core = code
+        if pred != goal.pred or len(head) != len(goal.args):
+            return False
+        w = [fresh_var(name) for name in names]
+        bindings, trail, occurs_check = self.bindings, self.trail, self.config.occurs_check
 
-    def _match(self, patterns: tuple, terms: tuple, renaming: dict) -> bool:
-        """Unify renamed clause-head arguments with goal arguments, pair by
-        pair, left to right.  A universal met for the first time binds with
-        no occurs check, as nothing it could occur in is bound yet.  Those
-        in a head subterm that a goal variable binds to are met."""
-        bindings, trail, met = self.bindings, self.trail, set()
-        todo = list(zip(reversed(patterns), reversed(terms)))
+        def leaf(t):
+            return w[t] if type(t) is int else t
+
+        todo = list(zip(reversed(head), reversed(goal.args)))
         while todo:
-            pattern, term = todo.pop()
-            if type(pattern) is Var:
-                var = renaming[pattern.id]
-                if pattern.id not in met:
-                    met.add(pattern.id)
-                    bindings[var.id] = walk_shallow(term, bindings)
-                    trail.append(var.id)
-                    continue
-                pattern = var
-            elif type(pattern) is Compound:
-                term = walk_shallow(term, bindings)
-                if type(term) is Compound:
-                    if pattern.functor != term.functor or len(pattern.args) != len(term.args):
-                        return False
-                    todo.extend(zip(reversed(pattern.args), reversed(term.args)))
-                    continue
-                if type(term) is not Var:
+            op, term = todo.pop()
+            if type(op) is int:
+                if op >= 0:
+                    bindings[w[op].id] = walk_shallow(term, bindings)
+                    trail.append(w[op].id)
+                elif not unify_into(w[~op], term, bindings, trail, occurs_check):
                     return False
-                # one walk renames the subterm and meets its universals
-                pattern = fold_term(
-                    pattern, lambda t: met.add(t.id) or renaming[t.id] if type(t) is Var else t)
-            if not unify_into(pattern, term, bindings, trail, self.config.occurs_check):
+                continue
+            term = walk_shallow(term, bindings)
+            if type(op) is tuple:
+                functor, ops, template = op
+                if type(term) is Compound:
+                    if term.functor != functor or len(term.args) != len(ops):
+                        return False
+                    todo.extend(zip(reversed(ops), reversed(term.args)))
+                elif type(term) is not Var or not unify_into(
+                        fold_term(template, leaf), term, bindings, trail, occurs_check):
+                    return False
+            elif type(term) is Var:
+                bindings[term.id] = op
+                trail.append(term.id)
+            elif not unify_into(op, term, bindings, trail, occurs_check):
                 return False
-        return True
+        if not self.may_snapshot:
+            group = [(name, w[i]) for i, name in noisy]
+        else:
+            thetas = [(layer.var.name, v) if layer.noisy else None
+                      for layer, v in zip(layers, w)] + [None]  # the core's last
+            group = [("bc", _Layer((layers, core), w, i) if i else clause, goal, thetas[i])
+                     for i in range(len(layers), -1, -1)]
+            group.append(("pv", self.program, goal, None))
+        if group:
+            cont = (None, group, cont)
+        if body is None:
+            return cont
+        return (_instance(body, leaf) if isinstance(body, Atom)
+                else fold(body, _instance, scope=leaf)), depth + 1, cont
 
     def prove(self, goal: Goal) -> Iterator[None]:
         """Yield once per derivation of ``goal``; bindings and steps hold
@@ -227,6 +288,7 @@ class ProofSearch:
         the resolved atom's for a rule body's), ``(None, steps, next)``
         records steps; an existential's witness is a fresh variable."""
         program, steps, bindings, trail = self.program, self.steps, self.bindings, self.trail
+        lean = not self.may_snapshot
         limit = self.config.max_depth or DEPTH_CAP  # max_depth is None or positive
         choices: list[list] = []  # [trail mark, step count, atom, depth, clauses, next, cont]
         cont: Optional[tuple] = (goal, 1, None)
@@ -239,14 +301,20 @@ class ProofSearch:
                     steps.extend(depth)
                     continue
                 if type(goal) is Conj:
-                    done = (None, (("pv", program, goal, None),), cont)
+                    done = cont if lean else (None, (("pv", program, goal, None),), cont)
                     cont = (goal.left, depth, (goal.right, depth, done))
                     continue
-                if type(goal) is Exists:
-                    witness = fresh_var(goal.var.name)
-                    body = map_terms(goal.body, partial(subst_term, {goal.var.id: witness}))
-                    theta = (goal.var.name, witness) if goal.noisy else None
-                    cont = (body, depth, (None, (("pv", program, goal, theta),), cont))
+                if type(goal) is Exists:  # one binder, or a lean search's whole chain
+                    renaming, group = {}, []
+                    while type(goal) is Exists and (lean or not renaming):
+                        witness = renaming[goal.var.id] = fresh_var(goal.var.name)
+                        theta = (goal.var.name, witness) if goal.noisy else None
+                        if not lean or theta:
+                            group.append(theta if lean else ("pv", program, goal, theta))
+                        goal = goal.body
+                    if group:
+                        cont = (None, group[::-1], cont)  # innermost first
+                    cont = (map_terms(goal, partial(subst_term, renaming)), depth, cont)
                     continue
                 if depth > limit:
                     self.depth_clipped = True
@@ -265,7 +333,7 @@ class ProofSearch:
                 if i + 1 == len(candidates):
                     choices.pop()
                 cont = self.backchain(candidates[i], atom, depth, after)
-                if cont is not None:
+                if cont is not False:
                     break
             else:
                 return
@@ -280,7 +348,7 @@ class ProofSearch:
         any witness is not ground; lenient mode keeps residual variables.
         """
         out, memo = [], {}
-        for _, _, _, theta in self.steps:
+        for theta in (step[3] for step in self.steps) if self.may_snapshot else self.steps:
             if theta is not None:
                 term = resolve_term(theta[1], self.bindings, memo)
                 if strict and not is_ground(term):

@@ -85,7 +85,8 @@ class Program:
     ``arity_table`` maps each predicate to its arity at first use, as the
     well-formedness check built it; readers must not extend it.  ``index``
     (a ``PredicateIndex`` per predicate) is derived from ``clauses`` on
-    construction.
+    construction.  ``compiled`` maps a clause's ``id`` to the engine's form
+    of it, stored in one step at its first try by any search sharing it.
     """
 
     name: str
@@ -93,6 +94,7 @@ class Program:
     unknown_table: dict
     arity_table: dict
     index: dict = field(init=False, compare=False, repr=False)
+    compiled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "index", _index_clauses(self.clauses))

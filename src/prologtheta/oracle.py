@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .terms import Compound, Const, Term, Unknown, Var
-from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule, iter_atoms
+from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, iter_atoms
 from .loader import Program
 
 
@@ -125,8 +125,8 @@ class _Enumerator:
         self.work = 0
         self.memo: dict[tuple[Atom, int], frozenset] = {}
 
-    def _tick(self) -> None:
-        self.work += 1
+    def _tick(self, work: int = 1) -> None:
+        self.work += work
         if self.work > self.work_limit:
             raise OracleOverflow(f"work limit {self.work_limit} exceeded")
 
@@ -144,7 +144,7 @@ class _Enumerator:
                 return cached
             out: set = set()
             for clause in self.program.clauses:
-                out |= self.chain(clause, {}, ground, depth)
+                out |= self.chain(clause, ground, depth)
             result = frozenset(out)
             self.memo[key] = result
             return result
@@ -169,34 +169,33 @@ class _Enumerator:
             return frozenset(out)
         raise TypeError(f"not a goal node: {goal!r}")
 
-    def chain(self, clause: Clause, cenv: dict, target: Atom, depth: int) -> frozenset:
+    def chain(self, clause: Clause, target: Atom, depth: int) -> frozenset:
+        """Set of noisy-binding lists over the derivations of ``target`` by
+        ``clause``, one per choice of a universe term for each universal that
+        matching the head with ``target`` leaves open, in a loop."""
+        layers, core = [], clause
+        while isinstance(core, Forall):
+            layers.append(core)
+            core = core.inner
         self._tick()
-        if isinstance(clause, Fact):
-            if _ground_atom(clause.head, cenv) == target:
-                return frozenset({()})
+        fixed: dict = {}
+        if core.head.pred != target.pred or not _match(core.head.args, target.args, fixed):
             return frozenset()
-        if isinstance(clause, Rule):
-            if _ground_atom(clause.head, cenv) != target:
-                return frozenset()
-            return self.prove(clause.body, cenv, depth - 1)
-        if isinstance(clause, Forall):
-            # a binder the head shows is fixed by matching it with the target,
-            # also to a term outside the universe
-            core, fixed = clause, dict(cenv)
-            while isinstance(core, Forall):
-                core = core.inner
-            if core.head.pred != target.pred or not _match(core.head.args, target.args, fixed):
-                return frozenset()
-            value = fixed.get(clause.var.id)
-            picks = self.universe.terms if value is None else (value,)
-            out = set()
-            for pick in picks:
-                sub = self.chain(clause.inner, {**cenv, clause.var.id: pick}, target, depth)
-                if clause.noisy:
-                    sub = {ans + ((clause.var.name, pick),) for ans in sub}
-                out |= sub
-            return frozenset(out)
-        raise TypeError(f"not a clause node: {clause!r}")
+        picks = [(fixed[layer.var.id],) if layer.var.id in fixed else self.universe.terms
+                 for layer in layers]
+        calls = 1
+        for options in picks:  # one tick per call a recursion over the layers makes
+            calls *= len(options)
+            self._tick(calls)
+        noisy = [(i, layer.var.name) for i, layer in enumerate(layers) if layer.noisy][::-1]
+        out: set = set()
+        for combo in itertools.product(*picks):
+            sub = ({()} if isinstance(core, Fact) else
+                   self.prove(core.body, {layer.var.id: pick for layer, pick in zip(layers, combo)},
+                              depth - 1))
+            thetas = tuple((name, combo[i]) for i, name in noisy)  # innermost first
+            out |= {ans + thetas for ans in sub}
+        return frozenset(out)
 
 
 def oracle_solve(

@@ -731,3 +731,82 @@ def test_a_universal_met_inside_a_bound_head_subterm_keeps_the_occurs_check():
     assert answers(checked) == []
     _, _, unchecked = ask("p(f(X), X).", "p(Y, g(Y))", replace(lenient, occurs_check=False))
     assert answers(unchecked) == [[("Y", "f(g(Y))")]]
+
+
+
+# ---------------------------------------------------------------------------
+# Compiled clause tries and lean recording.
+
+
+def _compiled_head(text):
+    from prologtheta.engine import _compile
+
+    return _compile(load(text).clauses[0])[3]
+
+
+def test_a_repeated_head_variable_is_a_first_op_then_a_repeat_op():
+    assert _compiled_head("p(X, X).") == (0, ~0)
+    assert answers(ask("p(X, X).", "p(a, a)")[2]) == [[]]
+    assert answers(ask("p(X, X).", "p(a, b)")[2]) == []
+    assert answers(ask("p(X, X).", "p(Y, b)")[2]) == [[("Y", "b")]]
+    lenient = SolveConfig(max_solutions=None, groundness_mode="lenient")
+    assert answers(ask("p(X, X).", "p(Y, Z)", lenient)[2]) == [[("Z", "Z"), ("Y", "Z")]]
+
+
+def test_a_slot_free_head_subterm_is_bound_as_it_is_not_copied():
+    prog = load("p(f(a)).\nall X : q(g(X, f(a))).")
+    fact, rule = prog.clauses
+    bound = []
+    for goal in [Atom("p", (Var("Y", -1),))] * 2 + [
+            Atom("q", (Compound("g", (Const("b"), Var("Z", -2))),))] * 2:
+        search = ProofSearch(prog, SolveConfig(trace_enabled=False))
+        next(search.prove(goal))
+        bound.append(search.bindings[-1] if goal.pred == "p" else search.bindings[-2])
+    assert bound[0] is bound[1] is fact.head.args[0]  # the clause's own object
+    # one under a compound with slots is built at its first try, then shared
+    ((_, (_, ground), _),) = prog.compiled[id(rule)][3]
+    assert bound[2] is bound[3] is ground
+
+
+def test_a_compiled_form_stored_under_a_reused_id_is_not_taken():
+    from prologtheta.engine import _compile
+
+    prog = load("p(a).")
+    # a program unpickled in another process could carry such a stale entry
+    prog.compiled[id(prog.clauses[0])] = _compile(load("p(b).").clauses[0])
+    assert answers(solve(prog, desugar_query_vars(parse_query("p(X)")), ALL)) == [[("X", "a")]]
+
+
+def test_a_compound_over_a_repeated_head_variable_keeps_the_occurs_check():
+    assert _compiled_head("p(X, f(X)).") == (0, ("f", (~0,), Compound("f", (0,))))
+    lenient = SolveConfig(max_solutions=None, groundness_mode="lenient")
+    for trace_enabled in (True, False):
+        config = replace(lenient, trace_enabled=trace_enabled)
+        assert answers(ask("p(X, f(X)).", "p(A, A)", config)[2]) == []
+        unchecked = replace(config, occurs_check=False)
+        assert answers(ask("p(X, f(X)).", "p(A, A)", unchecked)[2]) == [[("A", "f(A)")]]
+
+
+def test_an_untraced_search_records_only_the_noisy_thetas():
+    _, goal, session = ask(RENAMED, "some X : r(a, W), q(X, b)", replace(ALL, trace_enabled=False))
+    search = session.search
+    for want in (["Y", "W"], ["Y", "W"]):
+        session.next_solution()
+        assert [name for name, _ in search.steps] == want
+    assert answers(ask(RENAMED, "some X : r(a, W), q(X, b)")[2]) == answers(
+        ask(RENAMED, "some X : r(a, W), q(X, b)", replace(ALL, trace_enabled=False))[2])
+
+
+def test_an_untraced_pending_call_holds_at_most_a_quarter_kilobyte():
+    import tracemalloc
+
+    prog = load("p(X) :- p(X).")
+    goal = desugar_query_vars(parse_query("p(a)"))
+    tracemalloc.start()
+    try:
+        session = solve(prog, goal, SolveConfig(max_depth=20_000, trace_enabled=False))
+        assert list(session) == [] and session.incomplete
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20_000 * 250  # 5 MB; about 19 MB when every step was recorded

@@ -11,11 +11,13 @@ and say which in the change log.
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 from prologtheta import (
     SolveConfig,
     desugar_query_vars,
     format_proof,
+    format_term,
     load,
     parse_query,
     reset_fresh_counters,
@@ -110,3 +112,24 @@ def golden_digest() -> str:
 
 def test_answers_and_traces_are_byte_identical_to_the_pinned_digest():
     assert golden_digest() == GOLDEN
+
+
+def _answers(program_text: str, query_text: str, config: SolveConfig):
+    reset_fresh_counters()
+    session = solve(load(program_text, name="m"),
+                    desugar_query_vars(parse_query(query_text)), config)
+    texts = [[(name, format_term(term)) for name, term in sol.answer] for sol in session]
+    return texts, session.incomplete
+
+
+def test_untraced_answers_equal_the_traced_ones():
+    # an untraced search records only the noisy thetas, and takes a chain
+    # of binders at once: its answers, their order and whether it was cut
+    # must not change
+    cases = 0
+    for program_text, query_text, config in _cases():
+        traced = _answers(program_text, query_text, config)
+        untraced = _answers(program_text, query_text, replace(config, trace_enabled=False))
+        assert untraced == traced, (program_text, query_text, config)
+        cases += 1
+    assert cases == 9_660
