@@ -344,11 +344,8 @@ def run_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if report.status == "match":
         print("MATCH", file=out)
         return 0
-    if report.status == "mismatch":
-        print(f"MISMATCH: {report.detail}", file=out)
-        return 1
     print(f"{report.status.upper()}: {report.detail}", file=out)
-    return 3
+    return 1 if report.status == "mismatch" else 3
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ Every completed inference contributes one step to the proof; a step
 carries a binding exactly when it instantiated a noisy quantifier.  Steps
 are emitted in premise-first order, so step 1 is the deepest leaf and the
 last step is the root judgment on the whole query; this is the order in
-which traces are displayed.  A search that nothing may snapshot keeps as
+which traces are displayed.  A chain of ``some`` binders is renamed at
+once, and its pv steps hold their goals as ``_Layer``s, as a clause try's
+bc steps hold its layers.  A search that nothing may snapshot keeps as
 steps only the bindings of noisy ``some*`` binders and ``all*``
 universals, as its answer reads nothing else.
 
@@ -116,21 +118,22 @@ class Solution:
 
 
 class _Layer:
-    """The focus of a bc step: layer ``depth`` of a clause try (the core
-    past the last one) with only the outer universals renamed to the try's
-    witnesses, built on first read."""
+    """Layer ``depth`` of a binder chain, a clause's universals or a query's
+    existentials (the core past the last one), with only the outer binders
+    renamed to their witnesses: a bc step's focus or a pv step's goal,
+    built on first read, or a chain's renamed core."""
 
     __slots__ = ("template", "witnesses", "depth", "built")
 
     def __init__(self, template: tuple, witnesses: list, depth: int):
         self.template, self.witnesses, self.depth, self.built = template, witnesses, depth, None
 
-    def clause(self) -> Clause:
+    def build(self):
         if self.built is None:
-            layers, core = self.template
-            outer = zip(layers[: self.depth], self.witnesses)
-            node = layers[self.depth] if self.depth < len(layers) else core
-            self.built = map_terms(node, partial(subst_term, {layer.var.id: w for layer, w in outer}))
+            chain, core = self.template
+            renaming = {binder.var.id: w for binder, w in zip(chain[: self.depth], self.witnesses)}
+            node = chain[self.depth] if self.depth < len(chain) else core
+            self.built = map_terms(node, partial(subst_term, renaming))
         return self.built
 
 
@@ -269,10 +272,10 @@ class ProofSearch:
         if not self.may_snapshot:
             group = [(name, w[i]) for i, name in noisy]
         else:
-            thetas = [(layer.var.name, v) if layer.noisy else None
-                      for layer, v in zip(layers, w)] + [None]  # the core's last
-            group = [("bc", _Layer((layers, core), w, i) if i else clause, goal, thetas[i])
-                     for i in range(len(layers), -1, -1)]
+            group = []
+            for i in range(len(layers), -1, -1):  # the core first, then each layer inward out
+                theta = (layers[i].var.name, w[i]) if i < len(layers) and layers[i].noisy else None
+                group.append(("bc", _Layer((layers, core), w, i) if i else clause, goal, theta))
             group.append(("pv", self.program, goal, None))
         if group:
             cont = (None, group, cont)
@@ -304,17 +307,22 @@ class ProofSearch:
                     done = cont if lean else (None, (("pv", program, goal, None),), cont)
                     cont = (goal.left, depth, (goal.right, depth, done))
                     continue
-                if type(goal) is Exists:  # one binder, or a lean search's whole chain
-                    renaming, group = {}, []
-                    while type(goal) is Exists and (lean or not renaming):
-                        witness = renaming[goal.var.id] = fresh_var(goal.var.name)
-                        theta = (goal.var.name, witness) if goal.noisy else None
-                        if not lean or theta:
-                            group.append(theta if lean else ("pv", program, goal, theta))
+                if type(goal) is Exists:  # a chain of binders, renamed at once
+                    chain, witnesses, group = [], [], []
+                    while type(goal) is Exists:
+                        chain.append(goal)
+                        witnesses.append(fresh_var(goal.var.name))
                         goal = goal.body
+                    for i in range(len(chain) - 1, -1, -1):  # innermost first
+                        theta = (chain[i].var.name, witnesses[i]) if chain[i].noisy else None
+                        if not lean:
+                            layer = _Layer((chain, goal), witnesses, i) if i else chain[0]
+                            group.append(("pv", program, layer, theta))
+                        elif theta:
+                            group.append(theta)
                     if group:
-                        cont = (None, group[::-1], cont)  # innermost first
-                    cont = (map_terms(goal, partial(subst_term, renaming)), depth, cont)
+                        cont = (None, group, cont)
+                    cont = (_Layer((chain, goal), witnesses, len(chain)).build(), depth, cont)
                     continue
                 if depth > limit:
                     self.depth_clipped = True
@@ -369,11 +377,11 @@ class ProofSearch:
                 nodes[id(goal)] = (
                     Atom(goal.pred, tuple(map(resolve, goal.args))) if type(goal) is Atom
                     else Conj(node(goal.left), node(goal.right)) if type(goal) is Conj
-                    else map_terms(goal, resolve))
+                    else map_terms(goal.build() if type(goal) is _Layer else goal, resolve))
             return nodes[id(goal)]
 
         return ProofTrace(tuple(
-            ProofStep(i, kind, map_terms(focus.clause(), resolve) if type(focus) is _Layer else focus,
+            ProofStep(i, kind, map_terms(focus.build(), resolve) if type(focus) is _Layer else focus,
                       node(goal), None if theta is None else (theta[0], resolve(theta[1])))
             for i, (kind, focus, goal, theta) in enumerate(self.steps, 1)
         ))

@@ -253,12 +253,7 @@ def erasure_outcomes(
     """
     program = load(case.program_text, name="fuzz")
     goal = desugar_query_vars(parse_query(case.query_text))
-    twin_program = Program(
-        name=program.name,
-        clauses=tuple(silent_twin(c) for c in program.clauses),
-        unknown_table=program.unknown_table,
-        arity_table=program.arity_table,
-    )
+    twin_program = replace(program, clauses=tuple(silent_twin(c) for c in program.clauses))
     twin_goal = silent_twin(goal)
     config = SolveConfig(
         groundness_mode="lenient",

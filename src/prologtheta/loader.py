@@ -142,8 +142,7 @@ def load_path(path: Union[str, Path]) -> Program:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise LoadError([ParseIssue(f"cannot read {path}: {err}", 0, 0)]) from None
-    default_name = path.stem or "main"
-    return load(text, name=default_name)
+    return load(text, name=path.stem)
 
 
 def combine(programs: Iterable[Program]) -> Program:

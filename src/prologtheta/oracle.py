@@ -159,13 +159,19 @@ class _Enumerator:
                 goal = goal.right
                 if isinstance(goal, Conj):
                     self._tick()
-        if isinstance(goal, Exists):
+        if isinstance(goal, Exists):  # walk a chain of binders in a loop
+            binders = []
+            while isinstance(goal, Exists):
+                binders.append(goal)
+                goal = goal.body
+            for i in range(1, len(binders)):  # one tick per call a recursion would make
+                self._tick(len(self.universe.terms) ** i)
+            noisy = [(i, b.var.name) for i, b in enumerate(binders) if b.noisy][::-1]
             out = set()
-            for pick in self.universe.terms:
-                sub = self.prove(goal.body, {**env, goal.var.id: pick}, depth)
-                if goal.noisy:
-                    sub = {ans + ((goal.var.name, pick),) for ans in sub}
-                out |= sub
+            for combo in itertools.product(self.universe.terms, repeat=len(binders)):
+                inner = {**env, **{b.var.id: t for b, t in zip(binders, combo)}}
+                thetas = tuple((name, combo[i]) for i, name in noisy)  # innermost first
+                out |= {ans + thetas for ans in self.prove(goal, inner, depth)}
             return frozenset(out)
         raise TypeError(f"not a goal node: {goal!r}")
 

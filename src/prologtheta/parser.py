@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .terms import Compound, Const, Star, Term, Unknown, Var, fold_term, fresh_var
+from .terms import Compound, Const, Star, Term, Unknown, Var, fold_term, fresh_var, subterms
 from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule
 
 RESERVED_WORDS = {"module", "unknown", "some", "all", "some*", "all*"}
@@ -146,10 +146,9 @@ class _Parser:
         self.pos = 0
         # provisional per-input variable table: one Var per name
         self.var_table: dict[str, Var] = {}
-        self.stars = 0  # '*' arguments parsed so far
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def take(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -191,7 +190,6 @@ class _Parser:
             if not allow_star:
                 self.fail("placeholder '*' is only allowed in fact arguments")
             self.take()
-            self.stars += 1
             return Star()
         if tok.kind == "lower":
             if tok.text in RESERVED_WORDS:
@@ -258,10 +256,7 @@ class _Parser:
 
     def parse_clause(self) -> Clause:
         prefixes: list[tuple[Var, bool]] = []
-        while (
-            self.peek().kind == "lower"
-            and self.peek().text in ("all", "all*")
-        ):
+        while self.peek().text in ("all", "all*"):
             noisy = self.take().text == "all*"
             names = [self.expect("upper", "a variable after the prefix")]
             while self.peek().kind == "comma":
@@ -269,11 +264,10 @@ class _Parser:
                 names.append(self.expect("upper", "a variable"))
             self.expect("colon", "':'")
             prefixes.extend((self.var_for(t.text), noisy) for t in names)
-        stars = self.stars
         head = self.parse_atom(allow_star=True)
         clause: Clause
         if self.peek().kind == "turnstile":
-            if self.stars > stars:
+            if any(type(t) is Star for arg in head.args for t in subterms(arg)):
                 self.fail("placeholder '*' is only allowed in fact arguments")
             self.take()
             body = self.parse_goal_group()
@@ -309,7 +303,7 @@ def parse_module(text: str, default_name: str = "main") -> SourceModule:
     while parser.peek().kind != "eof":
         tok = parser.peek()
         try:
-            if tok.kind == "lower" and tok.text == "module" and parser.peek(1).kind == "lower":
+            if tok.text == "module" and parser.tokens[parser.pos + 1].kind == "lower":
                 parser.take()
                 name_tok = parser.take()
                 parser.expect("period", "'.' after the module header")

@@ -19,6 +19,7 @@ from prologtheta.syntax import desugar_query_vars
 
 
 NAT = "nat(z).\nnat(s(X)) :- nat(X).\n"
+FREE_1000 = f"p({', '.join(f'Y{i}' for i in range(1000))})"
 
 
 @pytest.mark.parametrize(
@@ -35,9 +36,14 @@ NAT = "nat(z).\nnat(s(X)) :- nat(X).\n"
         # each universe term: the sets differ although neither is wrong
         ("p(Y).\nq(b).\n", "some* X : p(X)", 0, "incomplete", 0),
         ("p(Y).\n", "p(a), some* X : p(X)", 0, "incomplete", 0),
+        # a query of 1,000 free variables: the oracle walks its binders in a
+        # loop, so only the size of the universe decides
+        (f"p({', '.join(['a'] * 1000)}).\n", FREE_1000, 0, "match", 1),
+        (f"p({', '.join(f'c{i}' for i in range(1000))}).\n", FREE_1000, 0, "overflow", 1),
     ],
     ids=["two-facts", "query-constant", "query-constant-in-body", "head-fixed-compound",
-         "unground-witness", "unground-witness-beside-query-constant"],
+         "unground-witness", "unground-witness-beside-query-constant",
+         "free-1000-one-constant", "free-1000-constants"],
 )
 def test_known_cases_match(program, query, universe_depth, status, answers):
     report = check_case(FuzzCase(program, query), universe_depth=universe_depth)

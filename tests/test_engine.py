@@ -495,8 +495,8 @@ def reference_steps(search):
             index=i,
             kind=kind,
             focus=focus if isinstance(focus, Program)
-            else map_terms(focus.clause() if hasattr(focus, "clause") else focus, resolve),
-            goal=map_terms(goal, resolve),
+            else map_terms(focus.build() if hasattr(focus, "build") else focus, resolve),
+            goal=map_terms(goal.build() if hasattr(goal, "build") else goal, resolve),
             theta=None if theta is None else (theta[0], resolve(theta[1])),
         )
         for i, (kind, focus, goal, theta) in enumerate(search.steps, 1)
@@ -810,3 +810,27 @@ def test_an_untraced_pending_call_holds_at_most_a_quarter_kilobyte():
     finally:
         tracemalloc.stop()
     assert peak <= 20_000 * 250  # 5 MB; about 19 MB when every step was recorded
+
+
+def test_a_traced_binder_chain_is_renamed_once(monkeypatch):
+    import prologtheta.engine as engine
+
+    renamed = []
+
+    def counted_map_terms(node, f):
+        renamed.append(node)
+        return map_terms(node, f)
+
+    monkeypatch.setattr(engine, "map_terms", counted_map_terms)
+    prog = load("p(" + ", ".join(f"c{i}" for i in range(300)) + ").")
+    goal = desugar_query_vars(parse_query("p(" + ", ".join(f"Y{i}" for i in range(300)) + ")"))
+    search = ProofSearch(prog, SolveConfig())
+    next(search.prove(goal))
+    assert len(renamed) == 1  # the chain's body, once for all 300 binders
+    # each binder keeps its pv step, innermost first, its outer binders renamed
+    pv = [step for step in search.snapshot().steps if isinstance(step.goal, Exists)]
+    assert [step.theta[0] for step in pv] == [f"Y{i}" for i in range(299, -1, -1)]
+    assert pv[-1].goal == goal
+    assert format_goal(pv[-2].goal).startswith("some* Y1 : some* Y2 : ")
+    assert format_goal(pv[-2].goal).endswith(": p(c0, Y1, Y2, " + ", ".join(
+        f"Y{i}" for i in range(3, 300)) + ")")
