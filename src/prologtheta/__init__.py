@@ -45,7 +45,7 @@ from .parser import (
     parse_query,
     parse_term,
 )
-from .loader import LoadError, Program, combine, load, load_path, skolemize
+from .loader import Program, combine, load, load_path, skolemize
 from .engine import (
     EngineError,
     ProofSearch,

@@ -388,7 +388,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common_flags(check_p)
     check_p.add_argument("--query", metavar="TEXT")
     check_p.add_argument("--fuzz", type=int, default=0, metavar="N",
-                         help="generate and check N random cases")
+                         help="generate N random cases; check each against the oracle "
+                              "and its all-silent twin")
     check_p.add_argument("--seed", type=int, default=0)
     check_p.add_argument("--universe-depth", type=int, default=0, dest="universe_depth",
                          help="term nesting bound for the oracle universe")

@@ -1,5 +1,11 @@
 """Random program/query generation and engine-vs-oracle differential runs.
 
+``fuzz_run`` is the one campaign, behind ``prologtheta check --fuzz``: it
+compares each case's engine answers with the oracle's, then compares a
+case that matches with its all-silent twin (the erasure relation: the
+noisy flag decides only what an answer records, so both have the same
+number of derivations).
+
 Generated programs are function free, stratified (rule bodies only call
 strictly lower predicates, so derivations terminate), and range restricted
 (head variables occur in the body, facts are ground apart from declared
@@ -141,10 +147,6 @@ class CheckReport:
     oracle_answers: Optional[frozenset] = None
     detail: str = ""
 
-    @property
-    def matched(self) -> bool:
-        return self.status == "match"
-
 
 def differential_check(
     program: Program,
@@ -227,42 +229,51 @@ def has_compound_terms(program: Program, goal) -> bool:
     )
 
 
+def load_case(case: FuzzCase) -> tuple:
+    """The loaded program and the desugared goal of a case."""
+    return load(case.program_text, name="fuzz"), desugar_query_vars(parse_query(case.query_text))
+
+
 def check_case(case: FuzzCase, **kwargs) -> CheckReport:
-    program = load(case.program_text, name="fuzz")
-    goal = desugar_query_vars(parse_query(case.query_text))
-    return differential_check(program, goal, **kwargs)
+    return differential_check(*load_case(case), **kwargs)
 
 
-def fuzz_run(n: int, seed: int, **kwargs):
-    """Yield (index, case, report) for n seeded random cases."""
+def fuzz_run(n: int, seed: int, *, max_depth: int = 64, universe_depth: int = 0,
+             occurs_check: bool = True):
+    """Yield (index, case, report) for n seeded random cases.  A case that
+    matches the oracle is also checked against its all-silent twin, and
+    reported as a mismatch when their derivation counts differ."""
     rng = random.Random(seed)
     for i in range(1, n + 1):
         case = random_case(rng)
-        yield i, case, check_case(case, **kwargs)
+        program, goal = load_case(case)
+        report = differential_check(program, goal, max_depth=max_depth,
+                                    universe_depth=universe_depth, occurs_check=occurs_check)
+        if report.status == "match":
+            noisy_n, silent_n = erasure_outcomes(program, goal, max_depth=max_depth,
+                                                 occurs_check=occurs_check)
+            if noisy_n != silent_n:
+                report = replace(report, status="mismatch", detail=(
+                    f"erasure: {noisy_n} derivations, {silent_n} for the all-silent twin"))
+        yield i, case, report
 
 
-def erasure_outcomes(
-    case: FuzzCase, *, max_depth: int = 64, count_solutions: bool = False
-) -> tuple:
-    """Lenient-mode outcome of a case and of its all-silent twin.
+def erasure_outcomes(program: Program, goal, *, max_depth: int = 64,
+                     occurs_check: bool = True) -> tuple:
+    """Lenient-mode derivation counts of a program and goal and of their
+    all-silent twin.
 
     Rewriting every noisy quantifier to its silent version must not change
-    whether a proof exists (the flag only controls recording); with
-    ``count_solutions`` the number of derivations is compared too, since
-    both runs walk the same search tree.
+    whether or how often a proof exists: the flag only controls recording,
+    so both runs walk the same search tree.
     """
-    program = load(case.program_text, name="fuzz")
-    goal = desugar_query_vars(parse_query(case.query_text))
     twin_program = replace(program, clauses=tuple(silent_twin(c) for c in program.clauses))
-    twin_goal = silent_twin(goal)
     config = SolveConfig(
         groundness_mode="lenient",
         max_depth=max_depth,
-        max_solutions=None if count_solutions else 1,
+        max_solutions=None,
+        occurs_check=occurs_check,
         trace_enabled=False,
     )
-    noisy_n = sum(1 for _ in solve(program, goal, config))
-    silent_n = sum(1 for _ in solve(twin_program, twin_goal, config))
-    if count_solutions:
-        return noisy_n, silent_n
-    return noisy_n > 0, silent_n > 0
+    return (sum(1 for _ in solve(program, goal, config)),
+            sum(1 for _ in solve(twin_program, silent_twin(goal), config)))

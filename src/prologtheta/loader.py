@@ -17,8 +17,6 @@ from .terms import Compound, Const, Term, Unknown, fresh_unknown
 from .syntax import Clause, Forall, desugar_clause_vars, wellformed
 from .parser import ParseError, ParseIssue, SourceModule, parse_module
 
-LoadError = ParseError  # parse, Skolemization and well-formedness issues alike
-
 
 def first_arg_key(term: Term):
     """The index key of a clause head's or a goal's first argument.
@@ -109,7 +107,7 @@ def skolemize(module: SourceModule) -> Program:
 
     Each declared unknown name becomes one shared fresh Unknown; each ``*``
     becomes its own fresh Unknown; remaining free variables are closed
-    silently.  Raises LoadError when a declared unknown name collides with
+    silently.  Raises ParseError when a declared unknown name collides with
     an explicitly bound clause variable, or when a clause is ill-formed.
     """
     issues: list[ParseIssue] = []
@@ -125,7 +123,7 @@ def skolemize(module: SourceModule) -> Program:
         issues.extend(ParseIssue(p, line, col) for p in wellformed(clause, arities=arities))
         closed.append(clause)
     if issues:
-        raise LoadError(issues)
+        raise ParseError(issues)
     return Program(
         name=module.name, clauses=tuple(closed), unknown_table=table, arity_table=arities
     )
@@ -141,7 +139,7 @@ def load_path(path: Union[str, Path]) -> Program:
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
-        raise LoadError([ParseIssue(f"cannot read {path}: {err}", 0, 0)]) from None
+        raise ParseError([ParseIssue(f"cannot read {path}: {err}", 0, 0)]) from None
     return load(text, name=path.stem)
 
 
@@ -168,7 +166,7 @@ def combine(programs: Iterable[Program]) -> Program:
             key = decl if decl not in table else f"{prog.name}.{decl}"
             table[key] = unk
     if issues:
-        raise LoadError(issues)
+        raise ParseError(issues)
     return Program(
         name="program", clauses=tuple(clauses), unknown_table=table, arity_table=arities
     )

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .terms import Compound, Const, Term, Unknown, Var
+from .terms import Compound, Const, Term, Unknown, Var, fold_term, subterms
 from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, iter_atoms
 from .loader import Program
 
@@ -33,18 +33,6 @@ class Universe:
     terms: tuple[Term, ...]
 
 
-def _collect_ground_leaves(term: Term, consts: list, functors: list) -> None:
-    if isinstance(term, (Const, Unknown)):
-        if term not in consts:
-            consts.append(term)
-    elif isinstance(term, Compound):
-        key = (term.functor, len(term.args))
-        if key not in functors:
-            functors.append(key)
-        for a in term.args:
-            _collect_ground_leaves(a, consts, functors)
-
-
 _UNIVERSE_CAP = 50_000
 
 
@@ -56,15 +44,18 @@ def herbrand_universe(program: Program, depth_bound: int, goal: Goal) -> Univers
     constants the universe is empty: compounds need arguments, so no depth
     bound can conjure terms from nothing.
     """
-    consts: list[Term] = []
-    functors: list[tuple[str, int]] = []
+    consts: dict[Term, None] = {}  # dicts keep first-occurrence order
+    functors: dict[tuple[str, int], None] = {}
     for node in (*program.clauses, goal):
         for a in iter_atoms(node):
             for term in a.args:
-                _collect_ground_leaves(term, consts, functors)
+                for t in subterms(term):
+                    if isinstance(t, Compound):
+                        functors.setdefault((t.functor, len(t.args)))
+                    elif isinstance(t, (Const, Unknown)):
+                        consts.setdefault(t)
     terms: list[Term] = list(consts)
     seen = set(terms)
-    frontier = list(terms)
     for _ in range(depth_bound):
         if not functors or not terms:
             break
@@ -85,36 +76,41 @@ def herbrand_universe(program: Program, depth_bound: int, goal: Goal) -> Univers
     return Universe(terms=tuple(terms))
 
 
-AnswerList = tuple[tuple[str, Term], ...]
-
-
-def _ground(term: Term, env: Mapping[int, Term]) -> Term:
-    if isinstance(term, Var):
-        try:
-            return env[term.id]
-        except KeyError:
-            raise ValueError(f"open term: variable {term.name} is not quantified")
-    if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_ground(a, env) for a in term.args))
-    return term
-
-
 def _ground_atom(a: Atom, env: Mapping[int, Term]) -> Atom:
-    return Atom(a.pred, tuple(_ground(t, env) for t in a.args))
+    def leaf(t: Term) -> Term:
+        if isinstance(t, Var):
+            try:
+                return env[t.id]
+            except KeyError:
+                raise ValueError(f"open term: variable {t.name} is not quantified")
+        return t
+
+    return Atom(a.pred, tuple(fold_term(t, leaf) for t in a.args))
 
 
-def _match(pattern, ground, env: dict) -> bool:
-    """One-way match of a clause term, or tuple of terms, against a ground
-    one, extending ``env`` (variable id to term)."""
-    if isinstance(pattern, tuple):
-        return len(pattern) == len(ground) and all(
-            _match(p, g, env) for p, g in zip(pattern, ground))
-    if isinstance(pattern, Var):
-        return env.setdefault(pattern.id, ground) == ground
-    if isinstance(pattern, Compound):
-        return (isinstance(ground, Compound) and pattern.functor == ground.functor
-                and _match(pattern.args, ground.args, env))
-    return pattern == ground
+def _match(pattern: tuple, ground: tuple, env: dict) -> bool:
+    """One-way match of a clause head's arguments against ground ones, in a
+    loop over (pattern, ground) pairs, extending ``env`` (variable id to
+    term).  A variable met again matches its ground term as a pattern, so
+    deep terms are never compared with ``==``."""
+    todo = [(pattern, ground)]
+    while todo:
+        pattern, ground = todo.pop()
+        if isinstance(pattern, tuple):
+            if len(pattern) != len(ground):
+                return False
+            todo.extend(zip(pattern, ground))
+        elif isinstance(pattern, Var):
+            bound = env.setdefault(pattern.id, ground)
+            if bound is not ground:
+                todo.append((bound, ground))
+        elif isinstance(pattern, Compound):
+            if not isinstance(ground, Compound) or pattern.functor != ground.functor:
+                return False
+            todo.append((pattern.args, ground.args))
+        elif pattern != ground:
+            return False
+    return True
 
 
 class _Enumerator:

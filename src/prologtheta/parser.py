@@ -43,7 +43,7 @@ class ParseIssue:
 
 class ParseError(Exception):
     """Raised with the full list of issues found in the input; loading
-    raises it too, as ``loader.LoadError``."""
+    raises it too, for Skolemization and well-formedness issues."""
 
     def __init__(self, issues: list[ParseIssue]):
         self.issues = list(issues)

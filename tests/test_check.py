@@ -1,6 +1,7 @@
 """Differential checking: generator determinism and harness sanity."""
 
 import random
+import re
 
 import pytest
 
@@ -11,11 +12,13 @@ from prologtheta.fuzz import (
     differential_check,
     erasure_outcomes,
     fuzz_run,
+    load_case,
     random_case,
 )
+from prologtheta.cli import main
 from prologtheta.loader import load
 from prologtheta.parser import parse_query
-from prologtheta.syntax import desugar_query_vars
+from prologtheta.syntax import Atom, Conj, Exists, desugar_query_vars
 
 
 NAT = "nat(z).\nnat(s(X)) :- nat(X).\n"
@@ -68,7 +71,7 @@ def test_generated_cases_parse_and_load():
 
 def test_fuzz_run_matches_on_sample():
     for i, case, report in fuzz_run(60, seed=17):
-        assert report.matched, f"case {i}:\n{case}\n{report.detail}"
+        assert report.status == "match", f"case {i}:\n{case}\n{report.detail}"
 
 
 def test_broken_engine_is_caught(monkeypatch):
@@ -87,7 +90,23 @@ def test_broken_engine_is_caught(monkeypatch):
     assert report.status == "mismatch"
     assert "missing from engine" in report.detail
     monkeypatch.setattr(fuzz, "solve", real_solve)
-    assert check_case(case).matched
+    assert check_case(case).status == "match"
+
+
+def test_broken_twin_is_caught(monkeypatch, capsys):
+    """Campaign sanity: a silent twin that loses derivations must produce
+    MISMATCH, exit 1."""
+    real_twin = fuzz.silent_twin
+
+    def lossy_twin(node):
+        twin = real_twin(node)
+        return Conj(twin, Atom("absent", ())) if isinstance(node, (Atom, Conj, Exists)) else twin
+
+    monkeypatch.setattr(fuzz, "silent_twin", lossy_twin)
+    assert main(["check", "--fuzz", "500", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("MISMATCH (case ") and lines[0].endswith("/500, seed 1)")
+    assert re.fullmatch(r"erasure: [1-9]\d* derivations, 0 for the all-silent twin", lines[-1])
 
 
 def test_uncertifiable_search_is_reported_incomplete():
@@ -115,18 +134,11 @@ def test_recursion_the_engine_completes_matches_the_oracle(edges, max_depth):
     assert len(report.engine_answers) == edges
 
 
-def test_erasure_outcomes_agree_on_sample():
-    rng = random.Random(23)
-    for _ in range(80):
-        case = random_case(rng)
-        noisy, silent = erasure_outcomes(case)
-        assert noisy == silent, str(case)
-
-
 def test_erasure_preserves_the_whole_derivation_count():
     # the twin walks the same search tree, so derivations match one to one
-    rng = random.Random(29)
-    for _ in range(40):
-        case = random_case(rng)
-        noisy_n, silent_n = erasure_outcomes(case, count_solutions=True)
-        assert noisy_n == silent_n, str(case)
+    for seed, cases in ((23, 80), (29, 40)):
+        rng = random.Random(seed)
+        for _ in range(cases):
+            case = random_case(rng)
+            noisy_n, silent_n = erasure_outcomes(*load_case(case))
+            assert noisy_n == silent_n, str(case)

@@ -677,6 +677,21 @@ def test_a_fact_nested_400_deep_answers(query, args, first, tmp_path, cli_env):
         assert len(lines) == 1
 
 
+@pytest.mark.parametrize("program, query", [
+    (f"p({_nested(400)}).\n", f"p({_nested(400)})"),
+    ("p(X, X).\n", f"p({_nested(400)}, {_nested(400)})"),
+], ids=["fact", "repeated-variable"])
+def test_check_matches_on_a_term_nested_400_deep(program, query, tmp_path, cli_env):
+    # the oracle collects, grounds and matches terms in loops, and never
+    # compares two deep terms with ==
+    module = tmp_path / "deep.plt"
+    module.write_text(program, encoding="utf-8")
+    args = ["check", "--module", str(module), "--query", query, "--universe-depth", "1"]
+    proc = _run_cli(args, tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"MATCH\n"
+
+
 @pytest.mark.parametrize("command, code", [("run", 2), ("check", 2), ("repl", 0)])
 def test_a_module_that_is_not_utf8_is_an_error_without_traceback(
     command, code, tmp_path, cli_env

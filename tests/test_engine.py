@@ -787,6 +787,11 @@ def test_a_compound_over_a_repeated_head_variable_keeps_the_occurs_check():
         assert answers(ask("p(X, f(X)).", "p(A, A)", unchecked)[2]) == [[("A", "f(A)")]]
 
 
+def test_a_compound_head_argument_rejects_another_functor_or_arity():
+    for query, want in (("p(a, g(b))", []), ("p(a, f(b, c))", []), ("p(a, f(b))", [[]])):
+        assert answers(ask("p(a, f(X)).", query)[2]) == want, query
+
+
 def test_an_untraced_search_records_only_the_noisy_thetas():
     _, goal, session = ask(RENAMED, "some X : r(a, W), q(X, b)", replace(ALL, trace_enabled=False))
     search = session.search

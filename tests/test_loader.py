@@ -6,8 +6,8 @@ import pytest
 
 from prologtheta.terms import Unknown
 from prologtheta.syntax import Fact, Forall
-from prologtheta.parser import format_clause, parse_module
-from prologtheta.loader import LoadError, Program, combine, load, load_path, skolemize
+from prologtheta.parser import ParseError, format_clause, parse_module
+from prologtheta.loader import Program, combine, load, load_path, skolemize
 
 EMP = """\
 module emp.
@@ -59,14 +59,14 @@ def test_each_star_is_its_own_unknown():
 
 
 def test_declared_name_colliding_with_explicit_binder_is_ambiguous():
-    with pytest.raises(LoadError, match="ambiguous unknown scope"):
+    with pytest.raises(ParseError, match="ambiguous unknown scope"):
         load("unknown X.\nall X : p(X) :- q(X).\n")
-    with pytest.raises(LoadError, match="ambiguous unknown scope"):
+    with pytest.raises(ParseError, match="ambiguous unknown scope"):
         load("unknown X.\np(Y) :- some X : q(X, Y).\n")
 
 
 def test_a_clause_rejected_as_ambiguous_draws_no_unknown():
-    with pytest.raises(LoadError) as exc:
+    with pytest.raises(ParseError) as exc:
         load("unknown K.\nall K : p(K, *, f(*)).\nq(*).\n")
     assert str(exc.value) == "2:1: ambiguous unknown scope: K"
     # K drew ?k1 and q's star ?k2; the rejected fact's stars drew nothing
@@ -75,7 +75,7 @@ def test_a_clause_rejected_as_ambiguous_draws_no_unknown():
 
 
 def test_reserved_unknown_literal_is_rejected():
-    with pytest.raises(LoadError, match="reserved token"):
+    with pytest.raises(ParseError, match="reserved token"):
         load("phone(sue, ?k1).")
 
 
@@ -111,18 +111,18 @@ def test_unknown_ids_are_disjoint_across_loads():
 
 
 def test_arity_conflict_is_a_load_error():
-    with pytest.raises(LoadError, match="arity"):
+    with pytest.raises(ParseError, match="arity"):
         load("p(a).\np(a, b).\n")
 
 
 def test_load_error_aggregates_issue_positions():
     try:
         load("p(a.\nq(b.\n")
-    except LoadError as err:
+    except ParseError as err:
         assert len(err.issues) == 2
         assert [i.line for i in err.issues] == [1, 2]
     else:
-        pytest.fail("expected LoadError")
+        pytest.fail("expected ParseError")
 
 
 def test_load_path_uses_file_stem(tmp_path):
@@ -132,7 +132,7 @@ def test_load_path_uses_file_stem(tmp_path):
     assert prog.name == "facts"
     assert len(prog.clauses) == 1
     missing = tmp_path / "nope.plt"
-    with pytest.raises(LoadError, match="cannot read"):
+    with pytest.raises(ParseError, match="cannot read"):
         load_path(missing)
 
 
@@ -152,7 +152,7 @@ def test_combine_concatenates_in_load_order():
 def test_combine_rejects_cross_module_arity_conflicts():
     first = load("p(a).", name="one")
     second = load("p(a, b).", name="two")
-    with pytest.raises(LoadError, match="arity"):
+    with pytest.raises(ParseError, match="arity"):
         combine([first, second])
 
 
