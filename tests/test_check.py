@@ -134,11 +134,18 @@ def test_recursion_the_engine_completes_matches_the_oracle(edges, max_depth):
     assert len(report.engine_answers) == edges
 
 
+def test_erasure_outcomes_agree_on_sample():
+    rng = random.Random(23)
+    for _ in range(80):
+        case = random_case(rng)
+        noisy_n, silent_n = erasure_outcomes(*load_case(case))
+        assert noisy_n == silent_n, str(case)
+
+
 def test_erasure_preserves_the_whole_derivation_count():
     # the twin walks the same search tree, so derivations match one to one
-    for seed, cases in ((23, 80), (29, 40)):
-        rng = random.Random(seed)
-        for _ in range(cases):
-            case = random_case(rng)
-            noisy_n, silent_n = erasure_outcomes(*load_case(case))
-            assert noisy_n == silent_n, str(case)
+    rng = random.Random(29)
+    for _ in range(40):
+        case = random_case(rng)
+        noisy_n, silent_n = erasure_outcomes(*load_case(case))
+        assert noisy_n == silent_n, str(case)
