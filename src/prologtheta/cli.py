@@ -106,10 +106,9 @@ def solution_json(solution: Optional[Solution], status: str) -> dict:
     ]
     if solution.trace is not None:
         doc["trace"] = [
-            {"index": step.index, "kind": step.kind, "clause": clause, "goal": goal,
-             "theta": None if step.theta is None
-             else {"var": step.theta[0], "term": format_term(step.theta[1])}}
-            for step, clause, goal in step_texts(solution.trace)
+            {"index": index, "kind": kind, "clause": clause, "goal": goal,
+             "theta": None if theta is None else {"var": theta[0], "term": theta[1]}}
+            for index, kind, _, clause, goal, theta in step_texts(solution.trace)
         ]
     return doc
 

@@ -20,7 +20,9 @@ which traces are displayed.  A chain of ``some`` binders is renamed at
 once, and its pv steps hold their goals as ``_Layer``s, as a clause try's
 bc steps hold its layers.  A search that nothing may snapshot keeps as
 steps only the bindings of noisy ``some*`` binders and ``all*``
-universals, as its answer reads nothing else.
+universals, as its answer reads nothing else.  A trace holds the raw steps
+and the bindings at its solution: it is printed from them, and resolved
+only when its ``steps`` are read.
 
 The nondeterministic choice of an instantiation term is realized by logic
 variables, unification, and chronological backtracking over a trail.
@@ -32,7 +34,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator, Optional, Sequence, Union
 
 from .terms import Compound, Term, Var, fold_term, fresh_var, is_ground, resolve_term
@@ -51,7 +53,7 @@ from .syntax import (
     wellformed,
 )
 from .loader import Program, first_arg_key
-from .parser import format_clause, format_goal, format_term
+from .parser import compound_text, format_clause, format_goal, format_term
 
 
 class EngineError(Exception):
@@ -89,8 +91,8 @@ class ProofStep:
 
     ``focus`` is the clause being decomposed for bc steps and the program
     for pv steps.  ``theta`` is the recorded binding and is present exactly
-    when the step instantiated a noisy quantifier.  Terms are resolved
-    against the bindings of the solution; steps may share resolved nodes.
+    when the step instantiated a noisy quantifier.  ``ProofTrace.steps``
+    builds these from the raw steps and bindings; they may share nodes.
     """
 
     index: int
@@ -100,9 +102,32 @@ class ProofStep:
     theta: Optional[Theta]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProofTrace:
-    steps: tuple[ProofStep, ...]
+    """The raw steps of a proof, ``(kind, focus, goal, theta)`` over unresolved
+    terms, and a copy of the bindings at its solution; ``steps`` is a view of
+    them resolved on first read."""
+
+    raw_steps: tuple[tuple, ...]
+    bindings: dict[int, Term]
+
+    @cached_property
+    def steps(self) -> tuple[ProofStep, ...]:
+        """Each binding chain resolved once, and each node shared by steps once."""
+        resolve, nodes = partial(resolve_term, bindings=self.bindings, memo={}), {}
+
+        def node(goal):  # steps are premise first: a conjunct comes before its Conj
+            if id(goal) not in nodes:
+                nodes[id(goal)] = (
+                    Conj(node(goal.left), node(goal.right)) if type(goal) is Conj
+                    else map_terms(goal.build() if type(goal) is _Layer else goal, resolve))
+            return nodes[id(goal)]
+
+        return tuple(
+            ProofStep(i, kind, map_terms(focus.build(), resolve) if type(focus) is _Layer else focus,
+                      node(goal), None if theta is None else (theta[0], resolve(theta[1])))
+            for i, (kind, focus, goal, theta) in enumerate(self.raw_steps, 1)
+        )
 
 
 @dataclass(frozen=True)
@@ -120,21 +145,22 @@ class Solution:
 class _Layer:
     """Layer ``depth`` of a binder chain, a clause's universals or a query's
     existentials (the core past the last one), with only the outer binders
-    renamed to their witnesses: a bc step's focus or a pv step's goal,
-    built on first read, or a chain's renamed core."""
+    renamed to their witnesses: a bc step's focus or a pv step's goal, or
+    a chain's renamed core."""
 
-    __slots__ = ("template", "witnesses", "depth", "built")
+    __slots__ = ("template", "witnesses", "depth")
 
     def __init__(self, template: tuple, witnesses: list, depth: int):
-        self.template, self.witnesses, self.depth, self.built = template, witnesses, depth, None
+        self.template, self.witnesses, self.depth = template, witnesses, depth
+
+    def parts(self) -> tuple:  # the layer's node, and its renaming by binder id
+        chain, core = self.template
+        renaming = {binder.var.id: w for binder, w in zip(chain[: self.depth], self.witnesses)}
+        return chain[self.depth] if self.depth < len(chain) else core, renaming
 
     def build(self):
-        if self.built is None:
-            chain, core = self.template
-            renaming = {binder.var.id: w for binder, w in zip(chain[: self.depth], self.witnesses)}
-            node = chain[self.depth] if self.depth < len(chain) else core
-            self.built = map_terms(node, partial(subst_term, renaming))
-        return self.built
+        node, renaming = self.parts()
+        return map_terms(node, partial(subst_term, renaming))
 
 
 class _AtomTemplate(Atom):
@@ -365,26 +391,8 @@ class ProofSearch:
         return tuple(out)
 
     def snapshot(self) -> ProofTrace:
-        """The steps so far as a trace, resolved against the current bindings:
-        each binding chain once, and each node once for all steps sharing it."""
-        bindings, memo, nodes = self.bindings, {}, {}
-
-        def resolve(term: Term) -> Term:
-            return resolve_term(term, bindings, memo)
-
-        def node(goal):  # steps are premise first: a conjunct comes before its Conj
-            if id(goal) not in nodes:
-                nodes[id(goal)] = (
-                    Atom(goal.pred, tuple(map(resolve, goal.args))) if type(goal) is Atom
-                    else Conj(node(goal.left), node(goal.right)) if type(goal) is Conj
-                    else map_terms(goal.build() if type(goal) is _Layer else goal, resolve))
-            return nodes[id(goal)]
-
-        return ProofTrace(tuple(
-            ProofStep(i, kind, map_terms(focus.build(), resolve) if type(focus) is _Layer else focus,
-                      node(goal), None if theta is None else (theta[0], resolve(theta[1])))
-            for i, (kind, focus, goal, theta) in enumerate(self.steps, 1)
-        ))
+        """The steps and bindings so far, copied: later search changes no trace."""
+        return ProofTrace(tuple(self.steps), dict(self.bindings))
 
 
 class SolveSession:
@@ -464,40 +472,55 @@ def format_theta(theta: Optional[Theta]) -> str:
     return f"<{theta[0]}, {format_term(theta[1])}>"
 
 
-def step_texts(trace: ProofTrace) -> Iterator[tuple[ProofStep, str, str]]:
-    """Each step with the text of its focus (a program by its name) and of
-    its goal; a node shared between steps is formatted once."""
-    texts: dict[int, str] = {}
-    for step in trace.steps:
-        focus, goal = step.focus, step.goal
-        if id(focus) not in texts:
-            texts[id(focus)] = focus.name if isinstance(focus, Program) else format_clause(focus)
-        if id(goal) not in texts:
-            texts[id(goal)] = format_goal(goal)
-        yield step, texts[id(focus)], texts[id(goal)]
+def step_texts(trace: ProofTrace) -> Iterator[tuple]:
+    """Each step as ``(index, kind, goal, focus text, goal text, theta)``,
+    its goal raw and its theta's term as text, printed from the trace's
+    bindings: each node once, and each variable once unless it cut a cycle."""
+    bindings, memo, texts, marked = trace.bindings, {}, {}, {}
+
+    def var_text(v: Var) -> str:
+        if v.id in memo:
+            return memo[v.id]
+        return resolve_term(v, bindings, memo, format_term, compound_text)
+
+    def text(node, fmt) -> str:
+        if type(node) is _Layer:  # renamed before the bindings are read: its node is
+            # printed once, with a NUL-delimited mark for each renamed binder's id,
+            # and each layer on the node fills the marks with its witnesses
+            node, renaming = node.parts()
+            pieces = marked.get(id(node))
+            if pieces is None:
+                shown = fmt(node, lambda v: f"\0{v.id}\0" if v.id in renaming else var_text(v))
+                marked[id(node)] = pieces = shown.split("\0")
+                pieces[1::2] = map(int, pieces[1::2])  # the marks: binder ids
+            return "".join([var_text(renaming[p]) if type(p) is int else p for p in pieces])
+        if id(node) not in texts:  # a program clause's variables are never bound
+            texts[id(node)] = fmt(node, var_text if fmt is format_goal else None)
+        return texts[id(node)]
+
+    for i, (kind, focus, goal, theta) in enumerate(trace.raw_steps, 1):
+        clause = focus.name if isinstance(focus, Program) else text(focus, format_clause)
+        theta = theta and (theta[0], var_text(theta[1]))
+        yield i, kind, goal, clause, text(goal, format_goal), theta
 
 
 def format_proof(trace: ProofTrace, answer) -> str:
     """Render a trace bottom-up: line 1 is the deepest step, the last line
     is the root judgment, followed by the answer substitution."""
-    label = "program"
-    if trace.steps and isinstance(trace.steps[-1].focus, Program):
-        label = trace.steps[-1].focus.name
-
-    def shown_goal(goal: Goal, text: str) -> str:
+    label = trace.raw_steps[-1][1].name  # the root judgment's program
+    lines = []
+    for index, kind, goal, clause, text, theta in step_texts(trace):
+        theta = "nil" if theta is None else f"<{theta[0]}, {theta[1]}>"
+        if kind == "bc":
+            lines.append(f"{index}. bc({clause}, {label}, {text}, {theta})")
+            continue
         # parenthesize a conjunction, also under binders, so step arguments
         # stay unambiguous; the parenthesized form reparses to the same goal
-        while type(goal) is Exists:
-            goal = goal.body
-        return f"({text})" if type(goal) is Conj else text
-
-    lines = []
-    for step, clause, goal in step_texts(trace):
-        theta = format_theta(step.theta)
-        if step.kind == "bc":
-            lines.append(f"{step.index}. bc({clause}, {label}, {goal}, {theta})")
-        else:
-            lines.append(f"{step.index}. pv({label}, {shown_goal(step.goal, goal)}, {theta})")
+        core = goal.template[1] if type(goal) is _Layer else goal  # past a layer's binders
+        while type(core) is Exists:
+            core = core.body
+        text = f"({text})" if type(core) is Conj else text
+        lines.append(f"{index}. pv({label}, {text}, {theta})")
     pairs = ", ".join(
         f"{shown} = {format_term(term)}"
         for shown, (_, term) in zip(display_names(answer), answer)

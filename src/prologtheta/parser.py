@@ -23,7 +23,7 @@ don't-know constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .terms import Compound, Const, Star, Term, Unknown, Var, fold_term, fresh_var, subterms
 from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule
@@ -374,57 +374,63 @@ def parse_term(text: str) -> Term:
 # Formatting.  parse(format(x)) == x for everything the grammar can write.
 
 
-def format_term(term: Term) -> str:
+def format_term(term: Term, var_text: Optional[Callable[[Var], str]] = None) -> str:
+    """The text of a term; ``var_text``, when given, prints each variable."""
     if type(term) is Var or type(term) is Const:
-        return term.name
+        return var_text(term) if var_text and type(term) is Var else term.name
     if type(term) is Unknown:
         return f"?k{term.id}"
     if type(term) is Compound:
         # format_term formats the leaves, which are not compound
-        return fold_term(term, format_term, lambda f, args: f"{f}({', '.join(args)})")
+        return fold_term(term, lambda t: format_term(t, var_text), compound_text)
     if type(term) is Star:
         return "*"
     raise TypeError(f"not a term: {term!r}")
 
 
-def format_atom(a: Atom) -> str:
+def compound_text(functor: str, args: tuple[str, ...]) -> str:
+    return f"{functor}({', '.join(args)})"
+
+
+def format_atom(a: Atom, var_text: Optional[Callable[[Var], str]] = None) -> str:
     if not a.args:
         return a.pred
-    return f"{a.pred}({', '.join(format_term(t) for t in a.args)})"
+    return f"{a.pred}({', '.join([format_term(t, var_text) for t in a.args])})"
 
 
-def format_goal(goal: Goal) -> str:
-    if isinstance(goal, Atom):
-        return format_atom(goal)
+def format_goal(goal: Goal, var_text: Optional[Callable[[Var], str]] = None) -> str:
+    if type(goal) is Atom:
+        return format_atom(goal, var_text)
     # a binder chain and a rule body's Conj spine are loops: length costs no stack
     parts = []
-    while isinstance(goal, Exists):
+    while type(goal) is Exists:
         parts.append(f"{'some*' if goal.noisy else 'some'} {goal.var.name} : ")
         goal = goal.body
-    if isinstance(goal, Conj):
+    if type(goal) is Conj:
         conjuncts = []
-        while isinstance(goal, Conj):
-            left = format_goal(goal.left)
-            conjuncts.append(f"({left})" if isinstance(goal.left, (Conj, Exists)) else left)
+        while type(goal) is Conj:
+            left = format_goal(goal.left, var_text)
+            conjuncts.append(f"({left})" if type(goal.left) in (Conj, Exists) else left)
             goal = goal.right
-        conjuncts.append(format_goal(goal))
+        conjuncts.append(format_goal(goal, var_text))
         parts.append(", ".join(conjuncts))
     elif isinstance(goal, Atom):
-        parts.append(format_atom(goal))
+        parts.append(format_atom(goal, var_text))
     else:
         raise TypeError(f"not a goal: {goal!r}")
     return "".join(parts)
 
 
-def format_clause(clause: Clause) -> str:
+def format_clause(clause: Clause, var_text: Optional[Callable[[Var], str]] = None) -> str:
     parts = []
-    while isinstance(clause, Forall):
+    while type(clause) is Forall:
         parts.append(f"{'all*' if clause.noisy else 'all'} {clause.var.name} : ")
         clause = clause.inner
-    if isinstance(clause, Fact):
-        parts.append(format_atom(clause.head))
-    elif isinstance(clause, Rule):
-        parts.append(f"{format_atom(clause.head)} :- {format_goal(clause.body)}")
+    if type(clause) is Fact:
+        parts.append(format_atom(clause.head, var_text))
+    elif type(clause) is Rule:
+        head, body = format_atom(clause.head, var_text), format_goal(clause.body, var_text)
+        parts.append(f"{head} :- {body}")
     else:
         raise TypeError(f"not a clause: {clause!r}")
     return "".join(parts)

@@ -142,23 +142,25 @@ def walk_shallow(term: Term, bindings: Mapping[int, Term]) -> Term:
     return term
 
 
-def resolve_term(term: Term, bindings: Mapping[int, Term], memo: Optional[dict] = None) -> Term:
+def resolve_term(term: Term, bindings: Mapping[int, Term], memo: Optional[dict] = None,
+                 leaf: Callable = lambda term: term, node: Callable = Compound):
     """Deep-resolve a term through a (triangular) binding map, in a loop.
 
     A variable met again inside its own binding (a cyclic map, made with the
     occurs check off) is left in place.  ``memo`` maps variable ids to their
     resolved terms for calls over the same bindings; it never keeps one whose
     resolution cut a cycle, as that form depends on where it was entered.
+    With ``leaf`` and ``node`` it folds as ``fold_term`` does; ``memo`` holds folds.
     """
+    memo = {} if memo is None else memo
     if type(term) is Var:
         bound = bindings.get(term.id)
         if bound is None or type(bound) not in (Var, Compound):  # unbound, or one link
-            return term if bound is None else bound
-        if memo and term.id in memo:
+            memo[term.id] = leaf(term if bound is None else bound)
+        if term.id in memo:
             return memo[term.id]
     elif type(term) is not Compound:
-        return term
-    memo = {} if memo is None else memo
+        return leaf(term)
     path, cuts, out, todo = set(), 0, [], [term]  # todo: terms, and marks finishing one
     while todo:
         item = todo.pop()
@@ -166,7 +168,7 @@ def resolve_term(term: Term, bindings: Mapping[int, Term], memo: Optional[dict] 
             bound = bindings.get(item.id)
             if item.id in memo or bound is None or item.id in path:
                 cuts += item.id in path  # a cycle, cut here
-                out.append(memo.get(item.id, item))
+                out.append(memo[item.id] if item.id in memo else leaf(item))
             else:
                 path.add(item.id)
                 todo += ((item.id, cuts), bound)
@@ -174,10 +176,10 @@ def resolve_term(term: Term, bindings: Mapping[int, Term], memo: Optional[dict] 
             todo.append((item,))
             todo.extend(item.args[::-1])
         elif type(item) is not tuple:
-            out.append(item)
+            out.append(leaf(item))
         elif len(item) == 1:  # (compound,): its arguments are resolved
             n = len(item[0].args)
-            out[-n:] = [Compound(item[0].functor, tuple(out[-n:]))]
+            out[-n:] = [node(item[0].functor, tuple(out[-n:]))]
         else:  # (variable id, cuts on entry): its binding is resolved
             path.discard(item[0])
             if cuts == item[1]:

@@ -1,6 +1,8 @@
 """Proof search: recorded steps, answer assembly, and search behaviour."""
 
+import json
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -579,6 +581,24 @@ def test_nat_gives_its_first_thousand_answers_untraced():
             assert term.functor == "s"
             (term,) = term.args
         assert name == "X" and term == Const("z")
+
+
+def test_a_trace_prints_a_deep_binding_chain_in_loops():
+    # T is bound to s(T1), T1 to s(T2), ... 400 links deep: printing walks
+    # the links and the terms in loops, not in one Python frame each
+    program = "".join(f"e({i}, {i + 1}).\n" for i in range(400)) + (
+        "last(400).\nbuild(N, z) :- last(N).\nbuild(N, s(T)) :- e(N, M), build(M, T).\n")
+    _, _, session = ask(program, "build(0, T)")
+    sol = session.next_solution()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        text = format_proof(sol.trace, sol.answer)
+        doc = json.dumps(solution_json(sol, "success"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (len(text), len(doc)) == (2_610_386, 2_770_767)
+    assert text.endswith("answer: {T = " + "s(" * 400 + "z" + ")" * 400 + "}")
 
 
 def test_empty_conjunction_free_single_fact_proof_has_two_lines():

@@ -133,3 +133,28 @@ def test_untraced_answers_equal_the_traced_ones():
         assert untraced == traced, (program_text, query_text, config)
         cases += 1
     assert cases == 9_660
+
+
+def _printed(program_text: str, query_text: str, config: SolveConfig, collect_first: bool):
+    """Each solution's JSON and text proof, printed as it arrives or only
+    after the search has run to its end."""
+    reset_fresh_counters()
+    session = solve(load(program_text, name="m"),
+                    desugar_query_vars(parse_query(query_text)), config)
+    sols = list(session) if collect_first else session
+    return [(json.dumps(solution_json(sol, "success")), format_proof(sol.trace, sol.answer))
+            for sol in sols]
+
+
+def test_a_trace_prints_the_same_bytes_after_its_search_has_moved_on():
+    # a trace keeps the steps and bindings of its own solution: one that
+    # read the live search would print the bindings of a later solution
+    for program_text, query_text, config in [
+        (PATH, "path(a, Y)", SolveConfig(max_solutions=None)),
+        # a cyclic binding, made with the occurs check off
+        ("p(A, A).", "some* X : some* Y : p(X, f(Y)), p(Y, g(X))",
+         SolveConfig("lenient", None, None, occurs_check=False)),
+    ]:
+        on_arrival = _printed(program_text, query_text, config, collect_first=False)
+        assert _printed(program_text, query_text, config, collect_first=True) == on_arrival
+        assert on_arrival
