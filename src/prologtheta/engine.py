@@ -8,9 +8,10 @@ continuation (goals still to prove and steps still to record) and a stack
 of choicepoints (atoms with clauses left to try), so a deep proof costs
 heap, not Python frames.  Backtracking undoes the trail and truncates the
 steps to the newest choicepoint's marks.  Each clause is compiled on its
-first try, so a try allocates one list of fresh variables, runs the head's
-match ops and fills in the body's template (after the WAM's get
-instructions: Warren 1983).
+first try to two generated Python functions, which clauses of the same
+shape share: one matches the head, one builds the body (the WAM's get and
+put instructions as host code: Warren 1983).  So a try allocates one list
+of fresh variables and makes two calls.
 
 Every completed inference contributes one step to the proof; a step
 carries a binding exactly when it instantiated a noisy quantifier.  Steps
@@ -35,9 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence, Union
 
-from .terms import Compound, Term, Var, fold_term, fresh_var, is_ground, resolve_term
+from .terms import Compound, Term, Var, fresh_var, is_ground, occurs, resolve_term
 from .terms import unify_into, walk_shallow
 from .syntax import (
     Atom,
@@ -47,7 +49,6 @@ from .syntax import (
     Fact,
     Forall,
     Goal,
-    fold,
     map_terms,
     subst_term,
     wellformed,
@@ -163,54 +164,125 @@ class _Layer:
         return map_terms(node, partial(subst_term, renaming))
 
 
-class _AtomTemplate(Atom):
-    """A rule body atom with slot numbers among its terms' leaves."""
+class _Compiled(SimpleNamespace):
+    """A clause as its tries run it (see ``_compile``)."""
+
+    def text(self) -> str:  # a program clause's text never changes: printed once
+        self.shown = self.shown or format_clause(self.clause)
+        return self.shown
 
 
-def _compile(clause: Clause) -> tuple:
-    """``(clause, pred, names, head, body, noisy, layers, core)``: slot i is
-    the i-th universal (``names``), outermost first, and ``noisy`` the noisy
-    ones' (slot, name), innermost first.  A head op, one per argument in
-    pre-order, is a slot met first (i) or again (~i), a slot-free term,
-    ground and shared, or a compound with slots, ``(functor, ops, template
-    over slot numbers)``.  ``body`` is over slot numbers, None for a fact."""
+_functions: dict = {}  # by shape, for every program: a fuzz case loads a fresh one
+
+
+def _generated(prefix: tuple, nodes: tuple, slots: dict) -> tuple:
+    """The function of the shape of ``nodes``, its constants and its source.
+    The shape is ``prefix`` and the ops of ``nodes`` in pre-order, with no
+    name, and each op's constant sits at its index: a slot met first (i) or
+    again (~i); a ground node or another variable (None), the node itself;
+    or else a node and its arity: ("a", n) an atom, its predicate, ("f", n)
+    a compound, its functor, ("&", 2) a Conj, or ("E", 1) or ("E*", 1) an
+    existential, its variable.  Clauses that differ only in names share a
+    shape's function."""
+    shape, consts, todo, met = [], [], list(reversed(nodes)), set()
+    while todo:
+        node = todo.pop()
+        op, parts, label = None, (), node  # a constant
+        if type(node) is Var and node.id in slots:
+            i = slots[node.id]
+            op, label = ~i if i in met else i, None
+            met.add(i)
+        elif type(node) is Conj:
+            op, parts, label = ("&", 2), (node.left, node.right), None
+        elif type(node) is Exists:
+            op, parts, label = ("E*" if node.noisy else "E", 1), (node.body,), node.var
+        elif type(node) in (Atom, Compound) and not all(map(is_ground, node.args)):
+            op, parts = ("a" if type(node) is Atom else "f", len(node.args)), node.args
+            label = node.pred if type(node) is Atom else node.functor
+        shape.append(op)
+        consts.append(label)
+        todo.extend(reversed(parts))
+    shape = prefix + tuple(shape)
+    if shape not in _functions:
+        source, namespace = _source(shape), {}
+        # with the engine's globals, so that unify_into is read here at each call
+        exec(compile(source, "<clause>", "exec"), globals(), namespace)
+        _functions[shape] = (namespace["f"], source)  # one store: programs are shared
+    return _functions[shape][0], consts, _functions[shape][1]
+
+
+def _source(shape: tuple) -> str:
+    """A head match (a "match" shape) or a body builder, one flat statement
+    per op.  A node that is no constant is built once its parts are.  In a
+    head, a compound with slots is matched instead or, where the goal has a
+    variable, built and bound to it, with the occurs check only through the
+    slots met again in it (one met first is fresh); while it is built, its
+    flag ``sK`` skips its arguments' ops."""
+    match = shape[0] == "match"
+    regs = [f"x{i}" for i in range(shape[1])] if match else []
+    lines = [f"if len(a) != {shape[1]}: return False",
+             f"({', '.join(regs)}{',' * bool(regs)}) = a"] if match else []
+    frames = []  # open nodes: (register, flag, outer flag, index, op, parts, slots met again)
+    for k, op in enumerate(shape[1 + match:]):
+        reg, outer = regs.pop(0) if match else None, frames[-1][1] if frames else None
+        skip = f"{outer} or " if outer else ""
+        if type(op) is tuple and match:
+            regs[:0] = new = [f"x{k}_{j}" for j in range(op[1])]
+            lines += [f"s{k} = {skip}type({reg} := walk_shallow({reg}, b)) is Var",
+                      f"if not s{k} and (type({reg}) is not Compound or {reg}.functor != c[{k}]"
+                      f" or len({reg}.args) != {op[1]}): return False",
+                      f"if not s{k}: ({', '.join(new)},) = {reg}.args"]
+        if type(op) is tuple:
+            frames.append((reg, match and f"s{k}", outer, k, op, [], {}))
+            continue
+        part = f"c[{k}]" if op is None else f"w[{op if op >= 0 else ~op}]"
+        if match and op is not None and op >= 0:  # a fresh variable: bound, never checked
+            lines.append(f"if not {outer}: " * bool(outer)
+                         + f"b[{part}.id] = walk_shallow({reg}, b); t.append({part}.id)")
+        elif match:
+            lines.append(f"if not ({skip}unify_into({part}, {reg}, b, t, oc)): return False")
+            for frame in frames if op is not None else ():
+                frame[6][part] = None
+        while frames and len(frames[-1][5]) == frames[-1][4][1] - 1:  # nodes now complete
+            reg, flag, outer, i, (tag, _), parts, again = frames.pop()
+            parts = ", ".join(parts + [part])
+            node = (f"Conj({parts})" if tag == "&" else
+                    f"Exists(c[{i}], {parts}, {tag == 'E*'})" if tag[0] == "E" else
+                    f"{'Atom' if tag == 'a' else 'Compound'}(c[{i}], ({parts},))")
+            part, bind = f"v{i}", f"{flag} and not {outer}" if outer else flag
+            if not match:
+                lines.append(f"{part} = {node}")
+                continue
+            checks = " or ".join(f"occurs({reg}.id, {w}, b)" for w in again)
+            lines += [f"if {bind} and oc and ({checks}): return False"] * bool(again) + [
+                f"if {flag}: {part} = {node}",
+                f"if {bind}: b[{reg}.id] = {part}; t.append({reg}.id)"]
+        if frames:
+            frames[-1][5].append(part)
+    return ("def f(a, w, b, t, oc, c):" if match else "def f(w, c):") + "\n    " + "\n    ".join(
+        lines + [f"return {'True' if match else part}"]) + "\n"
+
+
+def _compile(clause: Clause) -> _Compiled:
+    """Slot i is the i-th universal (``names``), outermost first, and
+    ``noisy`` holds the noisy ones' (slot, name), innermost first.  A try
+    calls ``match(args, w, bindings, trail, occurs_check, head)``, with
+    ``w`` the fresh variables, then ``build(w, body)``, None for a fact;
+    ``head`` and ``body`` are the constants, ``sources`` the sources."""
     layers, core = [], clause
     while type(core) is Forall:
         layers.append(core)
         core = core.inner
     slots = {layer.var.id: i for i, layer in enumerate(layers)}
-    met: set = set()
-
-    def head_leaf(t):
-        if type(t) is Var:
-            i = slots[t.id]
-            t = ~i if i in met else i
-            met.add(i)
-        return t
-
-    def head_node(functor: str, ops: tuple):
-        if not any(type(op) in (int, tuple) for op in ops):
-            return Compound(functor, ops)
-        return functor, ops, Compound(functor, tuple(
-            (op if op >= 0 else ~op) if type(op) is int else op[2] if type(op) is tuple else op
-            for op in ops))
-
-    def body_atom(a: Atom, _) -> Atom:
-        if all(map(is_ground, a.args)):
-            return a
-        return _AtomTemplate(a.pred, tuple(
-            fold_term(t, lambda v: slots.get(v.id, v) if type(v) is Var else v) for t in a.args))
-
-    head = tuple(arg if is_ground(arg) else fold_term(arg, head_leaf, head_node)
-                 for arg in core.head.args)
-    noisy = tuple((i, layer.var.name) for i, layer in enumerate(layers) if layer.noisy)[::-1]
-    return (clause, core.head.pred, tuple(layer.var.name for layer in layers), head,
-            None if type(core) is Fact else fold(core.body, body_atom), noisy, tuple(layers), core)
-
-
-def _instance(a: Atom, leaf) -> Atom:
-    """A body atom of a try: a template's slot numbers replaced by ``leaf``."""
-    return a if type(a) is Atom else Atom(a.pred, tuple([fold_term(t, leaf) for t in a.args]))
+    match, head, match_source = _generated(
+        ("match", len(core.head.args)), core.head.args, slots)
+    build, body, build_source = (None, None, None) if type(core) is Fact else _generated(
+        ("build",), (core.body,), slots)
+    return _Compiled(
+        clause=clause, pred=core.head.pred, names=tuple(layer.var.name for layer in layers),
+        noisy=tuple((i, layer.var.name) for i, layer in enumerate(layers) if layer.noisy)[::-1],
+        template=(tuple(layers), core), match=match, head=head, build=build, body=body,
+        sources=(match_source, build_source), shown=None)
 
 
 class ProofSearch:
@@ -256,59 +328,26 @@ class ProofSearch:
         variable per universal: the continuation that proves its body one
         call deeper, records its bc steps and the atom's pv step (or their
         thetas alone), then goes on with ``cont``; or False when the head
-        does not match.  A slot met first, and a goal variable met by a
-        slot-free op, bind with no occurs check: neither can make a cycle."""
+        does not match."""
         code = self.program.compiled.get(id(clause))
-        if code is None or code[0] is not clause:  # not compiled yet, or a stale id
+        if code is None or code.clause is not clause:  # not compiled yet, or a stale id
             code = self.program.compiled[id(clause)] = _compile(clause)
-        _, pred, names, head, body, noisy, layers, core = code
-        if pred != goal.pred or len(head) != len(goal.args):
+        if code.pred != goal.pred:
             return False
-        w = [fresh_var(name) for name in names]
-        bindings, trail, occurs_check = self.bindings, self.trail, self.config.occurs_check
-
-        def leaf(t):
-            return w[t] if type(t) is int else t
-
-        todo = list(zip(reversed(head), reversed(goal.args)))
-        while todo:
-            op, term = todo.pop()
-            if type(op) is int:
-                if op >= 0:
-                    bindings[w[op].id] = walk_shallow(term, bindings)
-                    trail.append(w[op].id)
-                elif not unify_into(w[~op], term, bindings, trail, occurs_check):
-                    return False
-                continue
-            term = walk_shallow(term, bindings)
-            if type(op) is tuple:
-                functor, ops, template = op
-                if type(term) is Compound:
-                    if term.functor != functor or len(term.args) != len(ops):
-                        return False
-                    todo.extend(zip(reversed(ops), reversed(term.args)))
-                elif type(term) is not Var or not unify_into(
-                        fold_term(template, leaf), term, bindings, trail, occurs_check):
-                    return False
-            elif type(term) is Var:
-                bindings[term.id] = op
-                trail.append(term.id)
-            elif not unify_into(op, term, bindings, trail, occurs_check):
-                return False
-        if not self.may_snapshot:
-            group = [(name, w[i]) for i, name in noisy]
-        else:
-            group = []
+        w = [fresh_var(name) for name in code.names]
+        if not code.match(goal.args, w, self.bindings, self.trail, self.config.occurs_check,
+                          code.head):
+            return False
+        if self.may_snapshot:
+            group, layers = [], code.template[0]
             for i in range(len(layers), -1, -1):  # the core first, then each layer inward out
                 theta = (layers[i].var.name, w[i]) if i < len(layers) and layers[i].noisy else None
-                group.append(("bc", _Layer((layers, core), w, i) if i else clause, goal, theta))
+                group.append(("bc", _Layer(code.template, w, i) if i else clause, goal, theta))
             group.append(("pv", self.program, goal, None))
-        if group:
             cont = (None, group, cont)
-        if body is None:
-            return cont
-        return (_instance(body, leaf) if isinstance(body, Atom)
-                else fold(body, _instance, scope=leaf)), depth + 1, cont
+        elif code.noisy:
+            cont = (None, [(name, w[i]) for i, name in code.noisy], cont)
+        return cont if code.build is None else (code.build(w, code.body), depth + 1, cont)
 
     def prove(self, goal: Goal) -> Iterator[None]:
         """Yield once per derivation of ``goal``; bindings and steps hold
@@ -494,12 +533,14 @@ def step_texts(trace: ProofTrace) -> Iterator[tuple]:
                 marked[id(node)] = pieces = shown.split("\0")
                 pieces[1::2] = map(int, pieces[1::2])  # the marks: binder ids
             return "".join([var_text(renaming[p]) if type(p) is int else p for p in pieces])
-        if id(node) not in texts:  # a program clause's variables are never bound
-            texts[id(node)] = fmt(node, var_text if fmt is format_goal else None)
+        if id(node) not in texts:
+            texts[id(node)] = format_goal(node, var_text)
         return texts[id(node)]
 
+    compiled = trace.raw_steps[-1][1].compiled  # a program clause's text is kept there
     for i, (kind, focus, goal, theta) in enumerate(trace.raw_steps, 1):
-        clause = focus.name if isinstance(focus, Program) else text(focus, format_clause)
+        clause = (focus.name if isinstance(focus, Program) else text(focus, format_clause)
+                  if type(focus) is _Layer else compiled[id(focus)].text())
         theta = theta and (theta[0], var_text(theta[1]))
         yield i, kind, goal, clause, text(goal, format_goal), theta
 

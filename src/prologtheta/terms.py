@@ -108,21 +108,8 @@ def subterms(term: Term) -> Iterator[Term]:
 def fold_term(term: Term, leaf: Callable, node: Callable = Compound):
     """Rebuild a term bottom-up: ``leaf`` maps each non-compound subterm,
     left to right, and ``node(functor, args)`` joins a compound's rebuilt
-    arguments."""
-    if type(term) is not Compound:
-        return leaf(term)
-    out, todo = [], [term]  # todo: terms, and (compound,) marks joining one
-    while todo:
-        item = todo.pop()
-        if type(item) is Compound:
-            todo.append((item,))
-            todo.extend(reversed(item.args))
-        elif type(item) is tuple:
-            n = len(item[0].args)
-            out[-n:] = [node(item[0].functor, tuple(out[-n:]))]
-        else:
-            out.append(leaf(item))
-    return out[0]
+    arguments, as ``resolve_term`` does under no bindings."""
+    return leaf(term) if type(term) is not Compound else resolve_term(term, {}, None, leaf, node)
 
 
 def is_ground(term: Term) -> bool:
@@ -134,7 +121,7 @@ def is_ground(term: Term) -> bool:
 
 def walk_shallow(term: Term, bindings: Mapping[int, Term]) -> Term:
     """Follow variable links until an unbound variable or non-variable."""
-    while isinstance(term, Var):
+    while type(term) is Var:
         bound = bindings.get(term.id)
         if bound is None:
             return term
@@ -187,7 +174,8 @@ def resolve_term(term: Term, bindings: Mapping[int, Term], memo: Optional[dict] 
     return out[0]
 
 
-def _occurs(var_id: int, term: Term, bindings: Mapping[int, Term]) -> bool:
+def occurs(var_id: int, term: Term, bindings: Mapping[int, Term]) -> bool:
+    """True iff the variable numbered ``var_id`` occurs in ``term`` under ``bindings``."""
     stack = [term]
     while stack:
         term = walk_shallow(stack.pop(), bindings)
@@ -224,7 +212,7 @@ def unify_into(
             t1, t2 = t2, t1  # bind the variable
         if type(t1) is Var:
             if type(t2) is not Var or t1.id != t2.id:
-                if occurs_check and type(t2) is Compound and _occurs(t1.id, t2, bindings):
+                if occurs_check and type(t2) is Compound and occurs(t1.id, t2, bindings):
                     return False
                 bindings[t1.id] = t2
                 trail.append(t1.id)

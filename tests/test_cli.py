@@ -748,6 +748,20 @@ def test_check_matches_on_a_flat_rule_of_a_thousand_atoms(tmp_path, capsys):
     assert capsys.readouterr().out == "MATCH\n"
 
 
+@pytest.mark.parametrize("program, query", [
+    ("p(X) :- " + ", ".join(["q(X)"] * 10_000) + ".\nq(a).\n", "p(a)"),
+    ("p(" + "f(" * 400 + "X" + ")" * 400 + ") :- q(X).\nq(a).\n", "p(_)"),
+    ("p(" + "f(" * 400 + "X" + ")" * 400 + ") :- q(X).\nq(a).\n", "p(" + _nested(400) + ")"),
+])
+def test_generated_code_of_a_long_body_and_a_deep_head_answers(program, query, tmp_path, capsys):
+    # a clause's try runs code generated from it: flat statements, one per
+    # atom and per subterm, stay within the compiler's limits
+    module = tmp_path / "big.plt"
+    module.write_text(program, encoding="utf-8")
+    assert main(["run", "--module", str(module), "--query", query]) == 0
+    assert capsys.readouterr().out == "yes.\n"
+
+
 def test_a_flat_rule_of_ten_thousand_atoms_loads_and_answers(tmp_path, cli_env):
     module = tmp_path / "flat.plt"
     module.write_text("p :- " + ", ".join(["q(a)"] * 10_000) + ".\nq(a).\n", encoding="utf-8")

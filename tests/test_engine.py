@@ -758,14 +758,16 @@ def test_a_universal_met_inside_a_bound_head_subterm_keeps_the_occurs_check():
 # Compiled clause tries and lean recording.
 
 
-def _compiled_head(text):
+def _compiled(text, index=0):
     from prologtheta.engine import _compile
 
-    return _compile(load(text).clauses[0])[3]
+    return _compile(load(text).clauses[index])
 
 
 def test_a_repeated_head_variable_is_a_first_op_then_a_repeat_op():
-    assert _compiled_head("p(X, X).") == (0, ~0)
+    match, _ = _compiled("p(X, X).").sources
+    assert "    b[w[0].id] = walk_shallow(x0, b); t.append(w[0].id)\n" in match
+    assert "    if not (unify_into(w[0], x1, b, t, oc)): return False\n" in match
     assert answers(ask("p(X, X).", "p(a, a)")[2]) == [[]]
     assert answers(ask("p(X, X).", "p(a, b)")[2]) == []
     assert answers(ask("p(X, X).", "p(Y, b)")[2]) == [[("Y", "b")]]
@@ -783,9 +785,9 @@ def test_a_slot_free_head_subterm_is_bound_as_it_is_not_copied():
         next(search.prove(goal))
         bound.append(search.bindings[-1] if goal.pred == "p" else search.bindings[-2])
     assert bound[0] is bound[1] is fact.head.args[0]  # the clause's own object
-    # one under a compound with slots is built at its first try, then shared
-    ((_, (_, ground), _),) = prog.compiled[id(rule)][3]
-    assert bound[2] is bound[3] is ground
+    # one under a compound with slots too: it is passed in as a constant
+    assert bound[2] is bound[3] is rule.inner.head.args[0].args[1]
+    assert prog.compiled[id(rule)].head == ["g", None, bound[2]]
 
 
 def test_a_compiled_form_stored_under_a_reused_id_is_not_taken():
@@ -798,13 +800,121 @@ def test_a_compiled_form_stored_under_a_reused_id_is_not_taken():
 
 
 def test_a_compound_over_a_repeated_head_variable_keeps_the_occurs_check():
-    assert _compiled_head("p(X, f(X)).") == (0, ("f", (~0,), Compound("f", (0,))))
+    match, _ = _compiled("p(X, f(X)).").sources
+    assert "    if s1 and oc and (occurs(x1.id, w[0], b)): return False\n" in match
     lenient = SolveConfig(max_solutions=None, groundness_mode="lenient")
     for trace_enabled in (True, False):
         config = replace(lenient, trace_enabled=trace_enabled)
         assert answers(ask("p(X, f(X)).", "p(A, A)", config)[2]) == []
         unchecked = replace(config, occurs_check=False)
         assert answers(ask("p(X, f(X)).", "p(A, A)", unchecked)[2]) == [[("A", "f(A)")]]
+
+
+def test_a_compound_built_over_a_slot_met_first_needs_no_occurs_check():
+    # R is met first in f(R), unbound when V is bound to f(R), so that bind
+    # needs no check; R's repeat op checks that R occurs in no g(V)
+    match, _ = _compiled("p(f(R), R).").sources
+    assert "occurs(" not in match
+    lenient = SolveConfig(max_solutions=None, groundness_mode="lenient")
+    for trace_enabled in (True, False):
+        config = replace(lenient, trace_enabled=trace_enabled)
+        assert answers(ask("p(f(R), R).", "p(V, g(V))", config)[2]) == []
+        unchecked = replace(config, occurs_check=False)
+        assert answers(ask("p(f(R), R).", "p(V, g(V))", unchecked)[2]) == [[("V", "f(g(V))")]]
+
+
+APP = "app(nil, L, L).\napp(cons(H, T), L, cons(H, R)) :- app(T, L, R).\n"
+
+# What a try of app/3's recursive clause runs: c holds the constants (the
+# functor cons at ops 0 and 4 of the head, the predicate app at op 0 of the
+# body) and w the fresh variables of H, T, L and R.  cons(H, T) is matched,
+# or built where the goal has a variable; L is bound; cons(H, R) is matched,
+# or built and checked for occurrence through H, met again in it.
+APP_MATCH = """def f(a, w, b, t, oc, c):
+    if len(a) != 3: return False
+    (x0, x1, x2,) = a
+    s0 = type(x0 := walk_shallow(x0, b)) is Var
+    if not s0 and (type(x0) is not Compound or x0.functor != c[0] or len(x0.args) != 2): \
+return False
+    if not s0: (x0_0, x0_1,) = x0.args
+    if not s0: b[w[0].id] = walk_shallow(x0_0, b); t.append(w[0].id)
+    if not s0: b[w[1].id] = walk_shallow(x0_1, b); t.append(w[1].id)
+    if s0: v0 = Compound(c[0], (w[0], w[1],))
+    if s0: b[x0.id] = v0; t.append(x0.id)
+    b[w[2].id] = walk_shallow(x1, b); t.append(w[2].id)
+    s4 = type(x2 := walk_shallow(x2, b)) is Var
+    if not s4 and (type(x2) is not Compound or x2.functor != c[4] or len(x2.args) != 2): \
+return False
+    if not s4: (x4_0, x4_1,) = x2.args
+    if not (s4 or unify_into(w[0], x4_0, b, t, oc)): return False
+    if not s4: b[w[3].id] = walk_shallow(x4_1, b); t.append(w[3].id)
+    if s4 and oc and (occurs(x2.id, w[0], b)): return False
+    if s4: v4 = Compound(c[4], (w[0], w[3],))
+    if s4: b[x2.id] = v4; t.append(x2.id)
+    return True
+"""
+APP_BUILD = """def f(w, c):
+    v0 = Atom(c[0], (w[1], w[2], w[3],))
+    return v0
+"""
+
+
+def test_the_generated_code_of_app_3s_recursive_clause_is_pinned():
+    code = _compiled(APP, 1)
+    assert code.sources == (APP_MATCH, APP_BUILD)
+    assert code.names == ("H", "T", "L", "R")
+    assert code.head == ["cons", None, None, None, "cons", None, None]
+    assert code.body == ["app", None, None, None]
+
+
+def test_clauses_of_one_shape_share_their_functions_and_no_name_is_in_the_source():
+    import re
+    from prologtheta.engine import _compile
+
+    names = ["alpha", "beta", "fun", "kay", "ell", "gamma", "delta", "gun", "em", "en"]
+    prog = load("alpha(fun(X), kay) :- beta(X, ell), some Z : beta(Z, X).\n"
+                "gamma(gun(Y), em) :- delta(Y, en), some W : delta(W, Y).\n")
+    first, second = (_compile(clause) for clause in prog.clauses)
+    assert first.match is second.match and first.build is second.build
+    assert first.sources == second.sources
+    assert not re.search(r"\b(%s)\b" % "|".join(names + ["Z", "W", "X", "Y"]),
+                         "".join(first.sources))
+
+
+def test_nrev30_makes_496_clause_tries_per_query(monkeypatch):
+    # Warren's count of logical inferences: first-argument indexing makes
+    # every call deterministic, so each try is an inference
+    import prologtheta.engine as engine
+
+    prog = load(APP + "nrev(nil, nil).\n"
+                "nrev(cons(H, T), R) :- nrev(T, RT), app(RT, cons(H, nil), R).\n")
+    listed = "nil"
+    for i in range(30):
+        listed = f"cons(e{i}, {listed})"
+    goal = desugar_query_vars(parse_query(f"nrev({listed}, R)"))
+    tries, backchain = [], engine.ProofSearch.backchain
+    monkeypatch.setattr(engine.ProofSearch, "backchain",
+                        lambda self, *args: tries.append(1) or backchain(self, *args))
+    for trace_enabled in (True, False, True):
+        tries.clear()
+        (sol,) = solve(prog, goal, SolveConfig(trace_enabled=trace_enabled))
+        assert format_term(sol.answer[0][1]).count("cons(") == 30
+        assert len(tries) == 496
+
+
+def test_a_program_clause_is_formatted_once_per_program(monkeypatch):
+    import prologtheta.engine as engine
+
+    prog = load("edge(a, b).\nedge(b, c).\nedge(c, d).\n"
+                "path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z).\n", name="m")
+    shown, format_clause = [], engine.format_clause
+    monkeypatch.setattr(engine, "format_clause",
+                        lambda clause, *rest: shown.append(clause) or format_clause(clause, *rest))
+    for query, count in (("path(a, W)", 3), ("path(b, W)", 2)):
+        sols = list(solve(prog, desugar_query_vars(parse_query(query)), ALL))
+        assert len([format_proof(sol.trace, sol.answer) for sol in sols]) == count
+    clauses = [clause for clause in shown if any(clause is c for c in prog.clauses)]
+    assert len(clauses) == len({id(clause) for clause in clauses}) == 5
 
 
 def test_a_compound_head_argument_rejects_another_functor_or_arity():
