@@ -29,18 +29,20 @@ The nondeterministic choice of an instantiation term is realized by logic
 variables, unification, and chronological backtracking over a trail.
 Clause alternatives are tried in textual order, which makes search
 deterministic and Prolog-like: depth first, left to right, first clause
-first.
+first.  A program's first search builds its first-argument index, which
+offers an atom the clauses of its predicate that may match it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, partial
 from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence, Union
 
-from .terms import Compound, Term, Var, fresh_var, is_ground, occurs, resolve_term
-from .terms import unify_into, walk_shallow
+from .terms import Compound, Const, Term, Unknown, Var, fresh_var, is_ground, occurs
+from .terms import resolve_term, unify_into, walk_shallow
 from .syntax import (
     Atom,
     Clause,
@@ -53,7 +55,7 @@ from .syntax import (
     subst_term,
     wellformed,
 )
-from .loader import Program, first_arg_key
+from .loader import Program
 from .parser import compound_text, format_clause, format_goal, format_term
 
 
@@ -279,10 +281,41 @@ def _compile(clause: Clause) -> _Compiled:
     build, body, build_source = (None, None, None) if type(core) is Fact else _generated(
         ("build",), (core.body,), slots)
     return _Compiled(
-        clause=clause, pred=core.head.pred, names=tuple(layer.var.name for layer in layers),
+        clause=clause, names=tuple(layer.var.name for layer in layers),
         noisy=tuple((i, layer.var.name) for i, layer in enumerate(layers) if layer.noisy)[::-1],
         template=(tuple(layers), core), match=match, head=head, build=build, body=body,
         sources=(match_source, build_source), shown=None)
+
+
+def _key(term: Term):
+    """The index key of a first argument: a constant's name, an Unknown's id
+    tagged so that no name or functor key equals it, a compound's functor
+    and arity, or None, which matches all, for a variable."""
+    kind = type(term)
+    if kind is Const:
+        return term.name
+    if kind is Compound:
+        return (term.functor, len(term.args))
+    return (Unknown, term.id) if kind is Unknown else None
+
+
+def _index(clauses: Sequence[Clause]) -> dict:
+    """Per predicate ``(every, by_key, wild)``: its clauses as ``(position,
+    clause)`` pairs in textual order, those of each first-argument key, and
+    the variable-headed ones.  None of them changes once built."""
+    index: dict[str, tuple] = defaultdict(lambda: ([], {}, []))
+    for pair in enumerate(clauses):
+        core = pair[1]
+        while type(core) is Forall:
+            core = core.inner
+        every, by_key, wild = index[core.head.pred]
+        key = _key(core.head.args[0]) if core.head.args else None
+        (wild if key is None else by_key.setdefault(key, [])).append(pair)
+        every.append(pair)
+    return index
+
+
+_NO_CLAUSES = ((), {}, ())  # the index entry of a predicate with no clauses
 
 
 class ProofSearch:
@@ -295,6 +328,8 @@ class ProofSearch:
     """
 
     def __init__(self, program: Program, config: SolveConfig = SolveConfig()):
+        if not program.index:  # the first search builds it, published in one store
+            program.index.update(_index(program.clauses))
         self.program = program
         self.config = config
         self.may_snapshot = config.trace_enabled
@@ -305,35 +340,34 @@ class ProofSearch:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def candidates(self, goal: Atom) -> Sequence[Clause]:
-        """The clauses that may match ``goal``, in textual order.
+    def candidates(self, goal: Atom) -> Sequence[tuple[int, Clause]]:
+        """The ``(position, clause)`` pairs of the clauses of ``goal``'s
+        predicate that may match it, in textual order.
 
         They come from the program's index, by the goal's first argument
         under the current bindings: every clause of the predicate when
         that argument is unbound, else those whose first argument is a
-        variable or has the same key (see ``loader.first_arg_key``).
+        variable or has the same key (see ``_key``).  Only a key with
+        both builds a list: the others are the index's own.
         """
-        table = self.program.index.get(goal.pred)
-        if table is None:
-            return ()
-        if not goal.args:
-            return table.every
-        first = walk_shallow(goal.args[0], self.bindings)
-        if isinstance(first, Var):
-            return table.every
-        return table.lookup(first_arg_key(first))
+        every, by_key, wild = self.program.index.get(goal.pred, _NO_CLAUSES)
+        key = _key(walk_shallow(goal.args[0], self.bindings)) if goal.args else None
+        if key is None:  # no first argument, or an unbound one
+            return every
+        own = by_key.get(key)
+        if own is None:
+            return wild
+        return sorted(own + wild) if wild else own
 
     def backchain(self, clause: Clause, goal: Atom, depth: int, cont: tuple):
-        """Try ``clause``, a program clause, on ``goal`` with one fresh
-        variable per universal: the continuation that proves its body one
-        call deeper, records its bc steps and the atom's pv step (or their
-        thetas alone), then goes on with ``cont``; or False when the head
-        does not match."""
+        """Try ``clause``, a program clause of ``goal``'s predicate, on ``goal``
+        with one fresh variable per universal: the continuation that proves
+        its body one call deeper, records its bc steps and the atom's pv step
+        (or their thetas alone), then goes on with ``cont``; or False when
+        the head does not match."""
         code = self.program.compiled.get(id(clause))
-        if code is None or code.clause is not clause:  # not compiled yet, or a stale id
+        if code is None:  # not compiled yet
             code = self.program.compiled[id(clause)] = _compile(clause)
-        if code.pred != goal.pred:
-            return False
         w = [fresh_var(name) for name in code.names]
         if not code.match(goal.args, w, self.bindings, self.trail, self.config.occurs_check,
                           code.head):
@@ -405,7 +439,7 @@ class ProofSearch:
                 choice[5] = i + 1
                 if i + 1 == len(candidates):
                     choices.pop()
-                cont = self.backchain(candidates[i], atom, depth, after)
+                cont = self.backchain(candidates[i][1], atom, depth, after)
                 if cont is not False:
                     break
             else:
@@ -503,12 +537,6 @@ def display_names(answer) -> list[str]:
         counts[name] = counts.get(name, 0) + 1
         out.append(name if counts[name] == 1 else f"{name}#{counts[name]}")
     return out
-
-
-def format_theta(theta: Optional[Theta]) -> str:
-    if theta is None:
-        return "nil"
-    return f"<{theta[0]}, {format_term(theta[1])}>"
 
 
 def step_texts(trace: ProofTrace) -> Iterator[tuple]:

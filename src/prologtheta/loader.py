@@ -11,69 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
-from .terms import Compound, Const, Term, Unknown, fresh_unknown
-from .syntax import Clause, Forall, desugar_clause_vars, wellformed
+from .terms import Unknown, fresh_unknown
+from .syntax import Clause, desugar_clause_vars, wellformed
 from .parser import ParseError, ParseIssue, SourceModule, parse_module
-
-
-def first_arg_key(term: Term):
-    """The index key of a clause head's or a goal's first argument.
-
-    A constant keys by its name, an Unknown by its id (tagged, so that it
-    cannot equal a constant's name or a functor key), a compound term by
-    its functor and arity; a variable has no key (None) and matches all.
-    """
-    if isinstance(term, Const):
-        return term.name
-    if isinstance(term, Unknown):
-        return (Unknown, term.id)
-    if isinstance(term, Compound):
-        return (term.functor, len(term.args))
-    return None
-
-
-class PredicateIndex(NamedTuple):
-    """One predicate's clauses: ``every`` holds them in textual order, and
-    ``by_key`` (each first-argument key's clauses) and ``wild`` (the
-    variable-headed ones) hold ascending positions into it.  None of them
-    changes once the program is built.
-    """
-
-    every: list
-    by_key: dict
-    wild: list
-
-    def lookup(self, key) -> list:
-        """The clauses whose first argument has ``key`` or is a variable,
-        in textual order."""
-        own = self.by_key.get(key)
-        if own is None:
-            positions = self.wild
-        elif self.wild:
-            positions = sorted(own + self.wild)
-        else:
-            positions = own
-        return [self.every[i] for i in positions]
-
-
-def _index_clauses(clauses: tuple[Clause, ...]) -> dict:
-    """The per-predicate first-argument index of ``clauses``."""
-    index: dict[str, PredicateIndex] = {}
-    for clause in clauses:
-        inner = clause
-        while isinstance(inner, Forall):
-            inner = inner.inner
-        head = inner.head
-        table = index.get(head.pred)
-        if table is None:
-            table = index[head.pred] = PredicateIndex([], {}, [])
-        key = first_arg_key(head.args[0]) if head.args else None
-        positions = table.wild if key is None else table.by_key.setdefault(key, [])
-        positions.append(len(table.every))
-        table.every.append(clause)
-    return index
 
 
 @dataclass(frozen=True)
@@ -82,20 +24,17 @@ class Program:
 
     ``arity_table`` maps each predicate to its arity at first use, as the
     well-formedness check built it; readers must not extend it.  ``index``
-    (a ``PredicateIndex`` per predicate) is derived from ``clauses`` on
-    construction.  ``compiled`` maps a clause's ``id`` to the engine's form
-    of it, stored in one step at its first try by any search sharing it.
+    and ``compiled`` are the engine's, each filled in one store by a search
+    sharing the program: its first-argument index at its first search, and
+    a clause's compiled form, under the clause's ``id``, at its first try.
     """
 
     name: str
     clauses: tuple[Clause, ...]
     unknown_table: dict
     arity_table: dict
-    index: dict = field(init=False, compare=False, repr=False)
+    index: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     compiled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", _index_clauses(self.clauses))
 
     def arities(self) -> dict:
         """A copy of the arity table, free for a caller to extend."""

@@ -215,7 +215,9 @@ def oracle_solve(
     derivation in the premise-first order the engine records them.
     ``depth_bound`` counts nested calls as the engine's ``max_depth`` does.
     Enlarging the universe or the depth bound never removes answers.
-    Raises OracleOverflow past the work limit.
+    Raises OracleOverflow past the work limit or Python's recursion limit.
     """
-    enum = _Enumerator(program, universe, work_limit)
-    return enum.prove(goal, {}, depth_bound)
+    try:
+        return _Enumerator(program, universe, work_limit).prove(goal, {}, depth_bound)
+    except RecursionError:  # prove and chain recurse once per nested call
+        raise OracleOverflow("proof nested deeper than the oracle's recursion limit") from None

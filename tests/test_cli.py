@@ -596,6 +596,9 @@ def _nested(depth):
     return term
 
 
+CHAIN_600 = "".join(f"q{i} :- q{i + 1}.\n" for i in range(600)) + "q600.\n"
+
+
 @pytest.mark.parametrize(
     "program, args, code, stdout",
     [
@@ -608,6 +611,12 @@ def _nested(depth):
         # loading a term nested too deeply is an error
         (f"p({_nested(600)}).\n", ["--query", "p(X)"], 2, ""),
         (f"p({_nested(600)}).\n", ["check", "--query", "p(X)"], 2, ""),
+        # a proof 601 calls deep: the engine proves it, and the oracle, which
+        # recurses once per nested call, reports that it cannot follow
+        pytest.param(CHAIN_600, ["--query", "q0"], 0, "yes.\n", id="chain600-run"),
+        pytest.param(CHAIN_600, ["check", "--query", "q0", "--max-depth", "1000"], 3,
+                     "OVERFLOW: proof nested deeper than the oracle's recursion limit\n",
+                     id="chain600-check"),
     ],
 )
 def test_recursion_overflow_maps_to_an_exit_code_without_traceback(

@@ -8,7 +8,15 @@ from dataclasses import replace
 import pytest
 
 from prologtheta.terms import Compound, Const, Var, is_ground, reset_fresh_counters
-from prologtheta.syntax import Atom, Conj, Exists, Forall, desugar_query_vars, map_terms
+from prologtheta.syntax import (
+    Atom,
+    Conj,
+    Exists,
+    Forall,
+    desugar_query_vars,
+    iter_atoms,
+    map_terms,
+)
 from prologtheta.parser import format_goal, format_term, parse_query
 from prologtheta.loader import Program, load
 from prologtheta.cli import solution_json
@@ -18,7 +26,6 @@ from prologtheta.engine import (
     ProofStep,
     SolveConfig,
     format_proof,
-    format_theta,
     solve,
 )
 
@@ -361,14 +368,15 @@ INDEXED_MODULES = [
 
 def index_entries(program):
     return sum(
-        len(table.every) + len(table.wild) + sum(map(len, table.by_key.values()))
-        for table in program.index.values()
+        len(every) + len(wild) + sum(map(len, by_key.values()))
+        for every, by_key, wild in program.index.values()
     )
 
 
 def every_clause(search, goal):
-    """The unindexed scan: every program clause in order."""
-    return search.program.clauses
+    """The unindexed scan: every clause of the goal's predicate in order."""
+    clauses = enumerate(search.program.clauses)
+    return [(i, clause) for i, clause in clauses if iter_atoms(clause)[0].pred == goal.pred]
 
 
 def test_indexed_search_matches_the_scan_of_every_clause(monkeypatch):
@@ -389,7 +397,6 @@ def test_indexed_search_matches_the_scan_of_every_clause(monkeypatch):
     sessions = incomplete = 0
     for text, queries in cases + INDEXED_MODULES:
         prog = load(text, name="m")
-        assert index_entries(prog) <= 2 * len(prog.clauses)
         for query in queries:
             goal = desugar_query_vars(parse_query(query))
             for mode in ("strict", "lenient"):
@@ -403,12 +410,63 @@ def test_indexed_search_matches_the_scan_of_every_clause(monkeypatch):
                                 assert outcomes(prog, goal, config) == indexed
                             sessions += 1
                             incomplete += indexed[1]
+        assert index_entries(prog) <= 2 * len(prog.clauses)
     assert incomplete > sessions // 10
 
 
 def test_indexing_keeps_textual_order_across_variable_heads():
     _, _, session = ask("q(a, 1).\nall X : q(X, 2).\nq(b, 3).\nq(a, 4).\n", "q(a, N)")
     assert answers(session) == [[("N", "1")], [("N", "2")], [("N", "4")]]
+
+
+def test_a_program_is_indexed_once_at_its_first_search():
+    prog = load(PATH, name="m")
+    assert prog.index == {}
+    goal = desugar_query_vars(parse_query("path(n0, Y)"))
+    first = solve(prog, goal, ALL)
+    tables = dict(prog.index)
+    assert sorted(tables) == ["edge", "path"]
+    second = solve(prog, goal, ALL)  # shares the program, and finds its index built
+    assert all(prog.index[pred] is table for pred, table in tables.items())
+    assert answers(first) == answers(second) != []
+
+
+@pytest.mark.parametrize("text, query, offered", [
+    # a key with only its own clauses, and a predicate of variable heads only
+    pytest.param(INDEXED_MODULES[3][0], "app(cons(a, nil), X, Y)", 1, id="own"),
+    pytest.param(PATH, "path(n0, Y)", 2, id="wild"),
+])
+def test_candidates_are_lists_the_index_stores(text, query, offered):
+    prog = load(text, name="m")
+    goal = parse_query(query)  # an atom, its free variables left open
+    search = ProofSearch(prog, ALL)
+    first = search.candidates(goal)
+    assert len(first) == offered
+    assert search.candidates(goal) is first
+    assert ProofSearch(prog, ALL).candidates(goal) is first
+
+
+def test_a_deep_copy_of_a_searched_program_answers_as_it_does():
+    # the copy's clauses are new objects: its index holds them, and the ids
+    # its compiled forms are stored under are those of the original's clauses
+    import copy
+    import gc
+
+    prog = load(INDEXED_MODULES[3][0] + PATH, name="m")
+    goals = [desugar_query_vars(parse_query(query))
+             for query in INDEXED_MODULES[3][1] + ["path(n0, Y)", "path(X, n3)"]]
+
+    def outcomes(program):
+        return [(solution_json(sol, "success"), format_proof(sol.trace, sol.answer))
+                for goal in goals for sol in solve(program, goal, ALL)]
+
+    before = outcomes(prog)
+    copied = copy.deepcopy(prog)
+    del prog
+    gc.collect()
+    assert all(clause is copied.clauses[i]
+               for every, _, _ in copied.index.values() for i, clause in every)
+    assert outcomes(copied) == before
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +582,8 @@ def test_snapshot_resolves_a_cycle_from_where_each_step_enters_it(program, query
     config = SolveConfig(groundness_mode="lenient", occurs_check=False)
     _, _, session = ask(program, query, config)
     sol = session.next_solution()
-    assert [format_theta(s.theta) for s in sol.trace.steps if s.theta] == thetas
+    assert [f"<{s.theta[0]}, {format_term(s.theta[1])}>"
+            for s in sol.trace.steps if s.theta] == thetas
     assert list(session.search.snapshot().steps) == reference_steps(session.search)
     assert list(sol.trace.steps) == reference_steps(session.search)
 
@@ -788,15 +847,6 @@ def test_a_slot_free_head_subterm_is_bound_as_it_is_not_copied():
     # one under a compound with slots too: it is passed in as a constant
     assert bound[2] is bound[3] is rule.inner.head.args[0].args[1]
     assert prog.compiled[id(rule)].head == ["g", None, bound[2]]
-
-
-def test_a_compiled_form_stored_under_a_reused_id_is_not_taken():
-    from prologtheta.engine import _compile
-
-    prog = load("p(a).")
-    # a program unpickled in another process could carry such a stale entry
-    prog.compiled[id(prog.clauses[0])] = _compile(load("p(b).").clauses[0])
-    assert answers(solve(prog, desugar_query_vars(parse_query("p(X)")), ALL)) == [[("X", "a")]]
 
 
 def test_a_compound_over_a_repeated_head_variable_keeps_the_occurs_check():
