@@ -57,6 +57,6 @@ from .engine import (
     format_proof,
     solve,
 )
-from .oracle import OracleOverflow, Universe, herbrand_universe, oracle_solve
+from .oracle import OracleOverflow, herbrand_universe, oracle_solve
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from .parser import ParseError, format_term, parse_query
 from .loader import Program, combine, load_path
 from .engine import (
     EngineError,
+    ProofTrace,
     SolveConfig,
     SolveSession,
     Solution,
@@ -87,14 +88,15 @@ class _Printer:
         print(f"\x1b[1m{text}\x1b[0m" if self.color else text, file=self.out)
 
 
-def _solution_lines(solution: Solution) -> list[str]:
+def _print_solution(printer: _Printer, solution: Solution, trace: Optional[ProofTrace]) -> None:
+    """The answer's bindings, or ``yes.``, then the proof when ``trace`` is given."""
     if not solution.answer:
-        return ["yes."]
-    lines = []
+        printer.bold("yes.")
     for shown, (_, term) in zip(display_names(solution.answer), solution.answer):
         marker = "" if is_ground(term) else "  (non-ground)"
-        lines.append(f"{shown} = {format_term(term)}{marker}")
-    return lines
+        printer.bold(f"{shown} = {format_term(term)}{marker}")
+    if trace is not None:
+        printer.plain(format_proof(trace, solution.answer))
 
 
 def solution_json(solution: Optional[Solution], status: str) -> dict:
@@ -169,10 +171,7 @@ def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         if as_json:
             printer.plain(json.dumps(solution_json(sol, "success")))
             continue
-        for line in _solution_lines(sol):
-            printer.bold(line)
-        if args.trace:
-            printer.plain(format_proof(sol.trace, sol.answer))
+        _print_solution(printer, sol, sol.trace if args.trace else None)
     # a cut search says so, also after the answers it found, unless it
     # stopped at --max-solutions before running out of answers
     found, incomplete = session.solutions_found > 0, session.incomplete
@@ -215,10 +214,8 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
     active: Optional[SolveSession] = None
 
     def emit_solution(sol: Solution) -> None:
-        for line in _solution_lines(sol):
-            printer.bold(line)
-        if show_trace:  # the search is paused at ``sol``, so its steps are sol's
-            printer.plain(format_proof(active.search.snapshot(), sol.answer))
+        # the search is paused at ``sol``, so its steps are sol's
+        _print_solution(printer, sol, active.search.snapshot() if show_trace else None)
 
     while True:
         out.write("?- ")
@@ -298,7 +295,7 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
 
 def run_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     # the differential comparison is defined over strict-mode answers, so
-    # --groundness does not apply here; --occurs-check is honoured
+    # check takes no --groundness; --occurs-check is honoured
     kwargs = dict(
         max_depth=args.max_depth if args.max_depth is not None else 64,
         universe_depth=args.universe_depth,
@@ -356,7 +353,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="module file to load (repeatable)")
     sub.add_argument("--max-depth", type=int, default=None, dest="max_depth",
                      help="resolution depth limit: nested calls, the query's atoms at 1")
-    sub.add_argument("--groundness", choices=("strict", "lenient"), default="strict")
     sub.add_argument("--occurs-check", choices=("on", "off"), default="on",
                      dest="occurs_check")
 
@@ -370,18 +366,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     subs = top.add_subparsers(dest="command", required=True)
 
     run_p = subs.add_parser("run", help="evaluate one query in batch mode")
-    _add_common_flags(run_p)
-    run_p.add_argument("--query", metavar="TEXT", help="query to solve")
-    run_p.add_argument("--all", action="store_true", help="enumerate every solution")
-    run_p.add_argument("--max-solutions", type=int, default=1, dest="max_solutions")
-    run_p.add_argument("--trace", action="store_true", help="print the proof trace")
-    run_p.add_argument("--format", choices=("text", "json"), default="text")
-
     repl_p = subs.add_parser("repl", help="interactive session")
-    _add_common_flags(repl_p)
-    repl_p.add_argument("--trace", action="store_true")
-    repl_p.add_argument("--all", action="store_true")
-    repl_p.add_argument("--max-solutions", type=int, default=1, dest="max_solutions")
+    for sub in (run_p, repl_p):
+        _add_common_flags(sub)
+        sub.add_argument("--groundness", choices=("strict", "lenient"), default="strict")
+        sub.add_argument("--all", action="store_true", help="enumerate every solution")
+        sub.add_argument("--max-solutions", type=int, default=1, dest="max_solutions")
+        sub.add_argument("--trace", action="store_true", help="print the proof trace")
+    run_p.add_argument("--query", metavar="TEXT", help="query to solve")
+    run_p.add_argument("--format", choices=("text", "json"), default="text")
 
     check_p = subs.add_parser("check", help="differential run against the brute-force oracle")
     _add_common_flags(check_p)

@@ -52,7 +52,6 @@ from .syntax import (
     Forall,
     Goal,
     map_terms,
-    subst_term,
     wellformed,
 )
 from .loader import Program
@@ -72,6 +71,9 @@ class SolveConfig:
     trace_enabled: bool = True
 
     def __post_init__(self) -> None:
+        # a search is strict only under "strict", so any other mode would run lenient
+        if self.groundness_mode not in ("strict", "lenient"):
+            raise ValueError(f"groundness_mode must be strict or lenient: {self.groundness_mode}")
         # a search checks the count only after a solution, so 0 would give one
         if self.max_solutions is not None and self.max_solutions < 1:
             raise ValueError(f"max_solutions must be at least 1, not {self.max_solutions}")
@@ -161,17 +163,27 @@ class _Layer:
         renaming = {binder.var.id: w for binder, w in zip(chain[: self.depth], self.witnesses)}
         return chain[self.depth] if self.depth < len(chain) else core, renaming
 
-    def build(self):
+    def build(self):  # witnesses are fresh, so no binding chain goes past one
         node, renaming = self.parts()
-        return map_terms(node, partial(subst_term, renaming))
+        return map_terms(node, partial(resolve_term, bindings=renaming))
 
 
 class _Compiled(SimpleNamespace):
     """A clause as its tries run it (see ``_compile``)."""
 
-    def text(self) -> str:  # a program clause's text never changes: printed once
-        self.shown = self.shown or format_clause(self.clause)
-        return self.shown
+    def text(self, depth: int, w: Sequence, var_text) -> str:
+        """Layer ``depth`` of the clause, its outer binders as ``var_text`` of
+        their witnesses ``w``: each depth is formatted once, with a NUL mark
+        per outer slot, and the rest by name, as no binder of a clause is bound."""
+        pieces = self.shown.get(depth)
+        if pieces is None:
+            layers, core = self.template
+            slots = {layer.var.id: i for i, layer in enumerate(layers[:depth])}
+            shown = format_clause(layers[depth] if depth < len(layers) else core,
+                                  lambda v: f"\0{slots[v.id]}\0" if v.id in slots else v.name)
+            self.shown[depth] = pieces = shown.split("\0")
+            pieces[1::2] = map(int, pieces[1::2])  # the marks: slots
+        return "".join([var_text(w[p]) if type(p) is int else p for p in pieces])
 
 
 _functions: dict = {}  # by shape, for every program: a fuzz case loads a fresh one
@@ -281,10 +293,10 @@ def _compile(clause: Clause) -> _Compiled:
     build, body, build_source = (None, None, None) if type(core) is Fact else _generated(
         ("build",), (core.body,), slots)
     return _Compiled(
-        clause=clause, names=tuple(layer.var.name for layer in layers),
+        names=tuple(layer.var.name for layer in layers),
         noisy=tuple((i, layer.var.name) for i, layer in enumerate(layers) if layer.noisy)[::-1],
         template=(tuple(layers), core), match=match, head=head, build=build, body=body,
-        sources=(match_source, build_source), shown=None)
+        sources=(match_source, build_source), shown={})
 
 
 def _key(term: Term):
@@ -543,34 +555,30 @@ def step_texts(trace: ProofTrace) -> Iterator[tuple]:
     """Each step as ``(index, kind, goal, focus text, goal text, theta)``,
     its goal raw and its theta's term as text, printed from the trace's
     bindings: each node once, and each variable once unless it cut a cycle."""
-    bindings, memo, texts, marked = trace.bindings, {}, {}, {}
+    bindings, memo, texts = trace.bindings, {}, {}
 
     def var_text(v: Var) -> str:
         if v.id in memo:
             return memo[v.id]
         return resolve_term(v, bindings, memo, format_term, compound_text)
 
-    def text(node, fmt) -> str:
-        if type(node) is _Layer:  # renamed before the bindings are read: its node is
-            # printed once, with a NUL-delimited mark for each renamed binder's id,
-            # and each layer on the node fills the marks with its witnesses
-            node, renaming = node.parts()
-            pieces = marked.get(id(node))
-            if pieces is None:
-                shown = fmt(node, lambda v: f"\0{v.id}\0" if v.id in renaming else var_text(v))
-                marked[id(node)] = pieces = shown.split("\0")
-                pieces[1::2] = map(int, pieces[1::2])  # the marks: binder ids
-            return "".join([var_text(renaming[p]) if type(p) is int else p for p in pieces])
-        if id(node) not in texts:
-            texts[id(node)] = format_goal(node, var_text)
-        return texts[id(node)]
+    def goal_text(goal) -> str:
+        if type(goal) is _Layer:  # a some chain's layer belongs to one step
+            node, renaming = goal.parts()
+            return format_goal(node, lambda v: var_text(renaming.get(v.id, v)))
+        if id(goal) not in texts:
+            texts[id(goal)] = format_goal(goal, var_text)
+        return texts[id(goal)]
 
     compiled = trace.raw_steps[-1][1].compiled  # a program clause's text is kept there
     for i, (kind, focus, goal, theta) in enumerate(trace.raw_steps, 1):
-        clause = (focus.name if isinstance(focus, Program) else text(focus, format_clause)
-                  if type(focus) is _Layer else compiled[id(focus)].text())
+        if type(focus) is _Layer:  # a clause's layer: its outermost binder is the clause
+            focus, depth, w = focus.template[0][0], focus.depth, focus.witnesses
+        else:
+            depth, w = 0, ()
+        clause = focus.name if kind == "pv" else compiled[id(focus)].text(depth, w, var_text)
         theta = theta and (theta[0], var_text(theta[1]))
-        yield i, kind, goal, clause, text(goal, format_goal), theta
+        yield i, kind, goal, clause, goal_text(goal), theta
 
 
 def format_proof(trace: ProofTrace, answer) -> str:

@@ -162,7 +162,7 @@ def differential_check(
     config = SolveConfig(
         groundness_mode="strict",
         max_depth=max_depth,
-        max_solutions=10_000,
+        max_solutions=None,
         occurs_check=occurs_check,
         trace_enabled=False,
     )

@@ -14,7 +14,6 @@ to be fast.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
 from .terms import Compound, Const, Term, Unknown, Var, fold_term, subterms
@@ -26,17 +25,10 @@ class OracleOverflow(Exception):
     """The enumeration exceeded its combinatorial work limit."""
 
 
-@dataclass(frozen=True)
-class Universe:
-    """Ground terms available for instantiation choices."""
-
-    terms: tuple[Term, ...]
-
-
 _UNIVERSE_CAP = 50_000
 
 
-def herbrand_universe(program: Program, depth_bound: int, goal: Goal) -> Universe:
+def herbrand_universe(program: Program, depth_bound: int, goal: Goal) -> tuple[Term, ...]:
     """All ground terms over the constants, Unknowns, and functors of the
     program and of ``goal``, with nesting at most ``depth_bound``.
 
@@ -73,7 +65,7 @@ def herbrand_universe(program: Program, depth_bound: int, goal: Goal) -> Univers
         if not new:
             break
         terms.extend(new)
-    return Universe(terms=tuple(terms))
+    return tuple(terms)
 
 
 def _ground_atom(a: Atom, env: Mapping[int, Term]) -> Atom:
@@ -114,7 +106,7 @@ def _match(pattern: tuple, ground: tuple, env: dict) -> bool:
 
 
 class _Enumerator:
-    def __init__(self, program: Program, universe: Universe, work_limit: int):
+    def __init__(self, program: Program, universe: tuple[Term, ...], work_limit: int):
         self.program = program
         self.universe = universe
         self.work_limit = work_limit
@@ -161,10 +153,10 @@ class _Enumerator:
                 binders.append(goal)
                 goal = goal.body
             for i in range(1, len(binders)):  # one tick per call a recursion would make
-                self._tick(len(self.universe.terms) ** i)
+                self._tick(len(self.universe) ** i)
             noisy = [(i, b.var.name) for i, b in enumerate(binders) if b.noisy][::-1]
             out = set()
-            for combo in itertools.product(self.universe.terms, repeat=len(binders)):
+            for combo in itertools.product(self.universe, repeat=len(binders)):
                 inner = {**env, **{b.var.id: t for b, t in zip(binders, combo)}}
                 thetas = tuple((name, combo[i]) for i, name in noisy)  # innermost first
                 out |= {ans + thetas for ans in self.prove(goal, inner, depth)}
@@ -183,7 +175,7 @@ class _Enumerator:
         fixed: dict = {}
         if core.head.pred != target.pred or not _match(core.head.args, target.args, fixed):
             return frozenset()
-        picks = [(fixed[layer.var.id],) if layer.var.id in fixed else self.universe.terms
+        picks = [(fixed[layer.var.id],) if layer.var.id in fixed else self.universe
                  for layer in layers]
         calls = 1
         for options in picks:  # one tick per call a recursion over the layers makes
@@ -203,7 +195,7 @@ class _Enumerator:
 def oracle_solve(
     program: Program,
     goal: Goal,
-    universe: Universe,
+    universe: tuple[Term, ...],
     *,
     depth_bound: int = 32,
     work_limit: int = 2_000_000,

@@ -9,14 +9,13 @@ answer substitution, silent ones do not.
 Raw ASTs coming out of the parser may contain free variables and anonymous
 ``_`` variables.  Desugaring closes them: in clauses they become silent
 universals, in queries ``_`` becomes a silent existential and named free
-variables follow the session policy (noisy by default, mirroring how a
-conventional top level displays every query binding).
+variables become noisy ones, as a conventional top level displays every
+query binding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Union
 
 from .terms import Compound, Star, Term, Var, fold_term, fresh_unknown, fresh_var, subterms
@@ -157,20 +156,6 @@ def iter_atoms(node) -> list[Atom]:
 
     fold(node, visit)
     return atoms
-
-
-def subst_term(mapping: dict, term: Term) -> Term:
-    """Replace variables by id; capture-free because binder ids are unique.
-
-    The mapping comes first so that ``partial(subst_term, mapping)`` is a
-    one-argument function for ``map_terms``, and a leaf map for
-    ``fold_term``.
-    """
-    if type(term) is Var:
-        return mapping.get(term.id, term)
-    if type(term) is not Compound:
-        return term
-    return fold_term(term, partial(subst_term, mapping))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,9 @@ def fresh_unknown() -> Unknown:
 
 
 def reset_fresh_counters() -> None:
-    """Restart id numbering.  Meant for tests and fresh CLI sessions."""
+    """Restart id numbering.  Meant for tests and fresh CLI sessions: call it
+    before loading the programs it serves, as a fresh id drawn later may
+    equal the id of a binder in a program loaded before."""
     global _var_ids, _unknown_ids
     _var_ids = itertools.count(1)
     _unknown_ids = itertools.count(1)

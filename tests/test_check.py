@@ -134,6 +134,15 @@ def test_recursion_the_engine_completes_matches_the_oracle(edges, max_depth):
     assert len(report.engine_answers) == edges
 
 
+def test_check_collects_every_derivation(tmp_path, capsys):
+    # m has 4**7 derivations, so X = b first comes at derivation 16,385
+    mod = tmp_path / "many.plt"
+    mod.write_text("d. d. d. d.\nm :- d, d, d, d, d, d, d.\ns(a). s(b).\np(X) :- s(X), m.\n",
+                   encoding="utf-8")
+    assert main(["check", "--module", str(mod), "--query", "some* X : p(X)"]) == 0
+    assert capsys.readouterr().out == "MATCH\n"
+
+
 def test_erasure_outcomes_agree_on_sample():
     rng = random.Random(23)
     for _ in range(80):

@@ -186,6 +186,15 @@ def test_lenient_groundness_flag(tmp_path, capsys):
     assert "(non-ground)" in out
 
 
+def test_check_takes_no_groundness_flag(phone_path, capsys):
+    # check compares strict answers only, so a lenient mode would be ignored
+    code = main(["check", "--module", phone_path, "--query", "phone(tom, _, Y)",
+                 "--groundness", "lenient"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "--groundness" in captured.err
+
+
 def test_check_single_query(emp_path, capsys):
     code = main(["check", "--module", emp_path, "--query",
                  "some* N : phone(sue, N), phone(john, N)"])

@@ -241,6 +241,13 @@ def test_lenient_mode_flags_residual_variable():
     assert name == "Y" and isinstance(term, Var)
 
 
+def test_an_unknown_groundness_mode_is_rejected():
+    # any mode but "strict" would run lenient: some* Y : p(Y) on p(X). would answer a free Y
+    for mode in ("Strict", "", "loose"):
+        with pytest.raises(ValueError, match="groundness_mode"):
+            SolveConfig(groundness_mode=mode)
+
+
 def test_silent_witness_may_stay_open_even_in_strict_mode():
     _, _, session = ask("all X : p(X).", "some Y : p(Y)", SolveConfig(max_solutions=None))
     sols = list(session)
@@ -965,6 +972,28 @@ def test_a_program_clause_is_formatted_once_per_program(monkeypatch):
         assert len([format_proof(sol.trace, sol.answer) for sol in sols]) == count
     clauses = [clause for clause in shown if any(clause is c for c in prog.clauses)]
     assert len(clauses) == len({id(clause) for clause in clauses}) == 5
+
+
+def test_each_clause_layer_is_formatted_once_per_program(monkeypatch):
+    import prologtheta.engine as engine
+
+    prog = load(closure(40), name="line")
+    calls, format_clause = [], engine.format_clause
+    monkeypatch.setattr(engine, "format_clause",
+                        lambda clause, *rest: calls.append(clause) or format_clause(clause, *rest))
+    for k in range(40):
+        sols = list(solve(prog, desugar_query_vars(parse_query(f"path(n{k}, Y)")), ALL))
+        assert len([json.dumps(solution_json(sol, "success")) for sol in sols]) == 39 - k
+    # 41 clauses, and the 2 + 3 layers inside the rules' universals
+    assert len(calls) == 46
+
+
+def test_a_clause_layer_prints_its_inner_binders_by_name():
+    # after a reset, a fresh witness may reuse the id of the binder Y, which prints by name
+    prog = load("p(X) :- q(X, Y).\nq(a, b).\n")
+    reset_fresh_counters()
+    (sol,) = solve(prog, desugar_query_vars(parse_query("p(Z)")))
+    assert "4. bc(all Y : p(a) :- q(a, Y), main, p(a), nil)" in format_proof(sol.trace, sol.answer)
 
 
 def test_a_compound_head_argument_rejects_another_functor_or_arity():

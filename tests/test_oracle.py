@@ -24,7 +24,7 @@ NO_CONSTANTS = parse_query("q")
 
 
 def shown(universe):
-    return sorted(format_term(t) for t in universe.terms)
+    return sorted(format_term(t) for t in universe)
 
 
 def test_universe_of_phone_program():
@@ -41,7 +41,7 @@ def test_universe_of_emp_program_includes_unknowns():
 
 def test_universe_of_constant_free_program_is_empty():
     uni = herbrand_universe(load("all X : p(X)."), 0, NO_CONSTANTS)
-    assert uni.terms == ()
+    assert uni == ()
 
 
 def test_universe_grows_with_depth_bound():
@@ -98,9 +98,7 @@ def test_monotonicity_in_depth_and_universe():
     deep = oracle_solve(prog, goal, uni, depth_bound=32)
     assert shallow <= deep
 
-    from prologtheta.oracle import Universe
-
-    smaller = Universe(terms=uni.terms[:4])
+    smaller = uni[:4]
     assert oracle_solve(prog, goal, smaller) <= oracle_solve(prog, goal, uni)
 
 
