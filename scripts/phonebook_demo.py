@@ -6,6 +6,11 @@ Run from the repository root:
     python3 scripts/phonebook_demo.py
 """
 
+import sys
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))  # for a checkout not installed
+
 from prologtheta import (
     SolveConfig,
     desugar_query_vars,

@@ -10,8 +10,9 @@ heap, not Python frames.  Backtracking undoes the trail and truncates the
 steps to the newest choicepoint's marks.  Each clause is compiled on its
 first try to two generated Python functions, which clauses of the same
 shape share: one matches the head, one builds the body (the WAM's get and
-put instructions as host code: Warren 1983).  So a try allocates one list
-of fresh variables and makes two calls.
+put instructions as host code: Warren 1983).  A universal the head matches
+takes the goal's term, so a try makes two calls and a fresh variable only
+where its head builds a term or for one only its body has.
 
 Every completed inference contributes one step to the proof; a step
 carries a binding exactly when it instantiated a noisy quantifier.  Steps
@@ -163,7 +164,7 @@ class _Layer:
         renaming = {binder.var.id: w for binder, w in zip(chain[: self.depth], self.witnesses)}
         return chain[self.depth] if self.depth < len(chain) else core, renaming
 
-    def build(self):  # witnesses are fresh, so no binding chain goes past one
+    def build(self):  # no witness holds a binder of its chain: no chain goes past one link
         node, renaming = self.parts()
         return map_terms(node, partial(resolve_term, bindings=renaming))
 
@@ -190,21 +191,21 @@ _functions: dict = {}  # by shape, for every program: a fuzz case loads a fresh 
 
 
 def _generated(prefix: tuple, nodes: tuple, slots: dict) -> tuple:
-    """The function of the shape of ``nodes``, its constants and its source.
-    The shape is ``prefix`` and the ops of ``nodes`` in pre-order, with no
-    name, and each op's constant sits at its index: a slot met first (i) or
-    again (~i); a ground node or another variable (None), the node itself;
-    or else a node and its arity: ("a", n) an atom, its predicate, ("f", n)
-    a compound, its functor, ("&", 2) a Conj, or ("E", 1) or ("E*", 1) an
-    existential, its variable.  Clauses that differ only in names share a
-    shape's function."""
+    """The function of the shape of ``nodes``, its constants, its source and
+    its slots.  The shape is ``prefix`` and the ops of ``nodes`` in pre-order,
+    with no name, and each op's constant sits at its index: a slot met first
+    (i), its name, or again (~i, None); a ground node or another variable
+    (None), the node itself; or else a node and its arity: ("a", n) an atom,
+    its predicate, ("f", n) a compound, its functor, ("&", 2) a Conj, or
+    ("E", 1) or ("E*", 1) an existential, its variable.  Clauses that differ
+    only in names share a shape's function."""
     shape, consts, todo, met = [], [], list(reversed(nodes)), set()
     while todo:
         node = todo.pop()
         op, parts, label = None, (), node  # a constant
         if type(node) is Var and node.id in slots:
             i = slots[node.id]
-            op, label = ~i if i in met else i, None
+            op, label = (~i, None) if i in met else (i, node.name)
             met.add(i)
         elif type(node) is Conj:
             op, parts, label = ("&", 2), (node.left, node.right), None
@@ -222,16 +223,17 @@ def _generated(prefix: tuple, nodes: tuple, slots: dict) -> tuple:
         # with the engine's globals, so that unify_into is read here at each call
         exec(compile(source, "<clause>", "exec"), globals(), namespace)
         _functions[shape] = (namespace["f"], source)  # one store: programs are shared
-    return _functions[shape][0], consts, _functions[shape][1]
+    return _functions[shape][0], consts, _functions[shape][1], met
 
 
 def _source(shape: tuple) -> str:
     """A head match (a "match" shape) or a body builder, one flat statement
     per op.  A node that is no constant is built once its parts are.  In a
-    head, a compound with slots is matched instead or, where the goal has a
-    variable, built and bound to it, with the occurs check only through the
-    slots met again in it (one met first is fresh); while it is built, its
-    flag ``sK`` skips its arguments' ops."""
+    head, a slot met first takes the goal's term (see ``_linked``), and a
+    compound with slots is matched or, where the goal has a variable, built
+    over fresh slots met first and bound to it, with the occurs check only
+    through the slots met again in it; while it is built, its flag ``sK``
+    skips its arguments' ops."""
     match = shape[0] == "match"
     regs = [f"x{i}" for i in range(shape[1])] if match else []
     lines = [f"if len(a) != {shape[1]}: return False",
@@ -250,9 +252,9 @@ def _source(shape: tuple) -> str:
             frames.append((reg, match and f"s{k}", outer, k, op, [], {}))
             continue
         part = f"c[{k}]" if op is None else f"w[{op if op >= 0 else ~op}]"
-        if match and op is not None and op >= 0:  # a fresh variable: bound, never checked
-            lines.append(f"if not {outer}: " * bool(outer)
-                         + f"b[{part}.id] = walk_shallow({reg}, b); t.append({part}.id)")
+        if match and op is not None and op >= 0:  # met first: the goal's term, or fresh if built
+            lines.append(f"{part} = " + f"fresh_var(c[{k}]) if {outer} else " * bool(outer)
+                         + f"walk_shallow({reg}, b) if oc else _linked(c[{k}], {reg}, b, t)")
         elif match:
             lines.append(f"if not ({skip}unify_into({part}, {reg}, b, t, oc)): return False")
             for frame in frames if op is not None else ():
@@ -277,24 +279,34 @@ def _source(shape: tuple) -> str:
         lines + [f"return {'True' if match else part}"]) + "\n"
 
 
+def _linked(name: str, term: Term, b: dict, t: list) -> Var:
+    """A head slot's witness with the occurs check off: a fresh variable bound
+    to ``term``, so that a cyclic binding prints cut at the clause's variable."""
+    b[(v := fresh_var(name)).id] = walk_shallow(term, b)
+    t.append(v.id)
+    return v
+
+
 def _compile(clause: Clause) -> _Compiled:
-    """Slot i is the i-th universal (``names``), outermost first, and
-    ``noisy`` holds the noisy ones' (slot, name), innermost first.  A try
-    calls ``match(args, w, bindings, trail, occurs_check, head)``, with
-    ``w`` the fresh variables, then ``build(w, body)``, None for a fact;
-    ``head`` and ``body`` are the constants, ``sources`` the sources."""
+    """Slot i is the i-th universal (``names``), outermost first, ``noisy``
+    holds the noisy ones' (slot, name), innermost first, and ``fresh`` those
+    of the ones absent from the head.  A try calls ``match(args, w, bindings,
+    trail, oc, head)``, which sets the head's slots of ``w``, then ``build(w,
+    body)``, None for a fact; ``head`` and ``body`` are the constants,
+    ``sources`` the sources."""
     layers, core = [], clause
     while type(core) is Forall:
         layers.append(core)
         core = core.inner
     slots = {layer.var.id: i for i, layer in enumerate(layers)}
-    match, head, match_source = _generated(
+    match, head, match_source, met = _generated(
         ("match", len(core.head.args)), core.head.args, slots)
-    build, body, build_source = (None, None, None) if type(core) is Fact else _generated(
+    build, body, build_source, _ = (None,) * 4 if type(core) is Fact else _generated(
         ("build",), (core.body,), slots)
     return _Compiled(
         names=tuple(layer.var.name for layer in layers),
         noisy=tuple((i, layer.var.name) for i, layer in enumerate(layers) if layer.noisy)[::-1],
+        fresh=tuple((i, layer.var.name) for i, layer in enumerate(layers) if i not in met),
         template=(tuple(layers), core), match=match, head=head, build=build, body=body,
         sources=(match_source, build_source), shown={})
 
@@ -372,15 +384,17 @@ class ProofSearch:
         return sorted(own + wild) if wild else own
 
     def backchain(self, clause: Clause, goal: Atom, depth: int, cont: tuple):
-        """Try ``clause``, a program clause of ``goal``'s predicate, on ``goal``
-        with one fresh variable per universal: the continuation that proves
-        its body one call deeper, records its bc steps and the atom's pv step
-        (or their thetas alone), then goes on with ``cont``; or False when
-        the head does not match."""
+        """Try ``clause``, a program clause of ``goal``'s predicate, on ``goal``,
+        with fresh variables for the universals absent from its head (the match
+        sets the rest): the continuation that proves its body one call deeper,
+        records its bc steps and the atom's pv step (or their thetas alone),
+        then goes on with ``cont``; or False when the head does not match."""
         code = self.program.compiled.get(id(clause))
         if code is None:  # not compiled yet
             code = self.program.compiled[id(clause)] = _compile(clause)
-        w = [fresh_var(name) for name in code.names]
+        w = [None] * len(code.names)
+        for i, name in code.fresh:
+            w[i] = fresh_var(name)
         if not code.match(goal.args, w, self.bindings, self.trail, self.config.occurs_check,
                           code.head):
             return False
@@ -557,8 +571,8 @@ def step_texts(trace: ProofTrace) -> Iterator[tuple]:
     bindings: each node once, and each variable once unless it cut a cycle."""
     bindings, memo, texts = trace.bindings, {}, {}
 
-    def var_text(v: Var) -> str:
-        if v.id in memo:
+    def var_text(v: Term) -> str:  # a clause's witness may be any term
+        if type(v) is Var and v.id in memo:
             return memo[v.id]
         return resolve_term(v, bindings, memo, format_term, compound_text)
 

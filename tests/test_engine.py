@@ -832,7 +832,7 @@ def _compiled(text, index=0):
 
 def test_a_repeated_head_variable_is_a_first_op_then_a_repeat_op():
     match, _ = _compiled("p(X, X).").sources
-    assert "    b[w[0].id] = walk_shallow(x0, b); t.append(w[0].id)\n" in match
+    assert "    w[0] = walk_shallow(x0, b) if oc else _linked(c[0], x0, b, t)\n" in match
     assert "    if not (unify_into(w[0], x1, b, t, oc)): return False\n" in match
     assert answers(ask("p(X, X).", "p(a, a)")[2]) == [[]]
     assert answers(ask("p(X, X).", "p(a, b)")[2]) == []
@@ -853,7 +853,7 @@ def test_a_slot_free_head_subterm_is_bound_as_it_is_not_copied():
     assert bound[0] is bound[1] is fact.head.args[0]  # the clause's own object
     # one under a compound with slots too: it is passed in as a constant
     assert bound[2] is bound[3] is rule.inner.head.args[0].args[1]
-    assert prog.compiled[id(rule)].head == ["g", None, bound[2]]
+    assert prog.compiled[id(rule)].head == ["g", "X", bound[2]]
 
 
 def test_a_compound_over_a_repeated_head_variable_keeps_the_occurs_check():
@@ -883,10 +883,13 @@ def test_a_compound_built_over_a_slot_met_first_needs_no_occurs_check():
 APP = "app(nil, L, L).\napp(cons(H, T), L, cons(H, R)) :- app(T, L, R).\n"
 
 # What a try of app/3's recursive clause runs: c holds the constants (the
-# functor cons at ops 0 and 4 of the head, the predicate app at op 0 of the
-# body) and w the fresh variables of H, T, L and R.  cons(H, T) is matched,
-# or built where the goal has a variable; L is bound; cons(H, R) is matched,
-# or built and checked for occurrence through H, met again in it.
+# functor cons at ops 0 and 4 of the head and the names of the slots met
+# first, the predicate app at op 0 of the body and the names of T, L and R)
+# and w the witnesses of H, T, L and R.  cons(H, T) is matched, its H and T
+# taking the goal's terms, or built over fresh H and T where the goal has a
+# variable; L takes its term; cons(H, R) is matched, or built over a fresh R
+# and checked for occurrence through H, met again in it.  With the occurs
+# check off, a slot that takes a term takes a fresh variable bound to it.
 APP_MATCH = """def f(a, w, b, t, oc, c):
     if len(a) != 3: return False
     (x0, x1, x2,) = a
@@ -894,17 +897,17 @@ APP_MATCH = """def f(a, w, b, t, oc, c):
     if not s0 and (type(x0) is not Compound or x0.functor != c[0] or len(x0.args) != 2): \
 return False
     if not s0: (x0_0, x0_1,) = x0.args
-    if not s0: b[w[0].id] = walk_shallow(x0_0, b); t.append(w[0].id)
-    if not s0: b[w[1].id] = walk_shallow(x0_1, b); t.append(w[1].id)
+    w[0] = fresh_var(c[1]) if s0 else walk_shallow(x0_0, b) if oc else _linked(c[1], x0_0, b, t)
+    w[1] = fresh_var(c[2]) if s0 else walk_shallow(x0_1, b) if oc else _linked(c[2], x0_1, b, t)
     if s0: v0 = Compound(c[0], (w[0], w[1],))
     if s0: b[x0.id] = v0; t.append(x0.id)
-    b[w[2].id] = walk_shallow(x1, b); t.append(w[2].id)
+    w[2] = walk_shallow(x1, b) if oc else _linked(c[3], x1, b, t)
     s4 = type(x2 := walk_shallow(x2, b)) is Var
     if not s4 and (type(x2) is not Compound or x2.functor != c[4] or len(x2.args) != 2): \
 return False
     if not s4: (x4_0, x4_1,) = x2.args
     if not (s4 or unify_into(w[0], x4_0, b, t, oc)): return False
-    if not s4: b[w[3].id] = walk_shallow(x4_1, b); t.append(w[3].id)
+    w[3] = fresh_var(c[6]) if s4 else walk_shallow(x4_1, b) if oc else _linked(c[6], x4_1, b, t)
     if s4 and oc and (occurs(x2.id, w[0], b)): return False
     if s4: v4 = Compound(c[4], (w[0], w[3],))
     if s4: b[x2.id] = v4; t.append(x2.id)
@@ -920,8 +923,9 @@ def test_the_generated_code_of_app_3s_recursive_clause_is_pinned():
     code = _compiled(APP, 1)
     assert code.sources == (APP_MATCH, APP_BUILD)
     assert code.names == ("H", "T", "L", "R")
-    assert code.head == ["cons", None, None, None, "cons", None, None]
-    assert code.body == ["app", None, None, None]
+    assert code.head == ["cons", "H", "T", "L", "cons", None, "R"]
+    assert code.body == ["app", "T", "L", "R"]
+    assert code.fresh == ()
 
 
 def test_clauses_of_one_shape_share_their_functions_and_no_name_is_in_the_source():
@@ -938,17 +942,21 @@ def test_clauses_of_one_shape_share_their_functions_and_no_name_is_in_the_source
                          "".join(first.sources))
 
 
-def test_nrev30_makes_496_clause_tries_per_query(monkeypatch):
-    # Warren's count of logical inferences: first-argument indexing makes
-    # every call deterministic, so each try is an inference
-    import prologtheta.engine as engine
-
+def _nrev30():
     prog = load(APP + "nrev(nil, nil).\n"
                 "nrev(cons(H, T), R) :- nrev(T, RT), app(RT, cons(H, nil), R).\n")
     listed = "nil"
     for i in range(30):
         listed = f"cons(e{i}, {listed})"
-    goal = desugar_query_vars(parse_query(f"nrev({listed}, R)"))
+    return prog, desugar_query_vars(parse_query(f"nrev({listed}, R)"))
+
+
+def test_nrev30_makes_496_clause_tries_per_query(monkeypatch):
+    # Warren's count of logical inferences: first-argument indexing makes
+    # every call deterministic, so each try is an inference
+    import prologtheta.engine as engine
+
+    prog, goal = _nrev30()
     tries, backchain = [], engine.ProofSearch.backchain
     monkeypatch.setattr(engine.ProofSearch, "backchain",
                         lambda self, *args: tries.append(1) or backchain(self, *args))
@@ -957,6 +965,26 @@ def test_nrev30_makes_496_clause_tries_per_query(monkeypatch):
         (sol,) = solve(prog, goal, SolveConfig(trace_enabled=trace_enabled))
         assert format_term(sol.answer[0][1]).count("cons(") == 30
         assert len(tries) == 496
+
+
+def test_nrev30_makes_a_fresh_variable_only_where_a_head_builds_or_a_body_has_its_own(
+        monkeypatch):
+    # A universal the head matches takes the goal's term.  Of the 496 tries,
+    # app/3's 435 recursive ones each build cons(H, R) over a fresh R, as the
+    # goal's third argument is the caller's unbound variable; nrev/2's 30
+    # recursive ones each make RT, which only the body has; the 31 tries of
+    # the two facts make none.  With the query's witness for R: 435 + 30 + 1.
+    import prologtheta.engine as engine
+
+    prog, goal = _nrev30()
+    made, fresh_var = [], engine.fresh_var
+    monkeypatch.setattr(engine, "fresh_var", lambda name: made.append(name) or fresh_var(name))
+    for trace_enabled in (True, False):
+        made.clear()
+        (sol,) = solve(prog, goal, SolveConfig(trace_enabled=trace_enabled))
+        assert format_term(sol.answer[0][1]).count("cons(") == 30
+        assert len(made) == 466
+        assert sorted(set(made)) == ["R", "RT"] and made.count("RT") == 30
 
 
 def test_a_program_clause_is_formatted_once_per_program(monkeypatch):
@@ -994,6 +1022,79 @@ def test_a_clause_layer_prints_its_inner_binders_by_name():
     reset_fresh_counters()
     (sol,) = solve(prog, desugar_query_vars(parse_query("p(Z)")))
     assert "4. bc(all Y : p(a) :- q(a, Y), main, p(a), nil)" in format_proof(sol.trace, sol.answer)
+
+
+# t's head takes a, ?k1 (through go's N, bound by phone(sue, N)), f(U) and
+# the bare U of go's body-only universals as its witnesses, not variables
+# bound to them; the noisy B and C record those terms as their thetas
+READ = ("unknown K.\nphone(sue, K).\nc(a).\n"
+        "all A : all* B : all* C : all D : t(A, B, C, D) :- c(A), phone(sue, B).\n"
+        "all U : all V : all N : go :- phone(sue, N), t(a, N, f(U), V).\n")
+READ_STEPS = [
+    ("bc", "phone(sue, ?k1)", "phone(sue, ?k1)", None),
+    ("pv", "m", "phone(sue, ?k1)", None),
+    ("bc", "c(a)", "c(a)", None),
+    ("pv", "m", "c(a)", None),
+    ("bc", "phone(sue, ?k1)", "phone(sue, ?k1)", None),
+    ("pv", "m", "phone(sue, ?k1)", None),
+    ("pv", "m", "c(a), phone(sue, ?k1)", None),
+    ("bc", "t(a, ?k1, f(U), V) :- c(a), phone(sue, ?k1)", "t(a, ?k1, f(U), V)", None),
+    ("bc", "all D : t(a, ?k1, f(U), D) :- c(a), phone(sue, ?k1)", "t(a, ?k1, f(U), V)", None),
+    ("bc", "all* C : all D : t(a, ?k1, C, D) :- c(a), phone(sue, ?k1)", "t(a, ?k1, f(U), V)",
+     ("C", "f(U)")),
+    ("bc", "all* B : all* C : all D : t(a, B, C, D) :- c(a), phone(sue, B)", "t(a, ?k1, f(U), V)",
+     ("B", "?k1")),
+    ("bc", "all A : all* B : all* C : all D : t(A, B, C, D) :- c(A), phone(sue, B)",
+     "t(a, ?k1, f(U), V)", None),
+    ("pv", "m", "t(a, ?k1, f(U), V)", None),
+    ("pv", "m", "phone(sue, ?k1), t(a, ?k1, f(U), V)", None),
+    ("bc", "go :- phone(sue, ?k1), t(a, ?k1, f(U), V)", "go", None),
+    ("bc", "all N : go :- phone(sue, N), t(a, N, f(U), V)", "go", None),
+    ("bc", "all V : all N : go :- phone(sue, N), t(a, N, f(U), V)", "go", None),
+    ("bc", "all U : all V : all N : go :- phone(sue, N), t(a, N, f(U), V)", "go", None),
+    ("pv", "m", "go", None),
+]
+READ_PROOF = """\
+1. bc(phone(sue, ?k1), m, phone(sue, ?k1), nil)
+2. pv(m, phone(sue, ?k1), nil)
+3. bc(c(a), m, c(a), nil)
+4. pv(m, c(a), nil)
+5. bc(phone(sue, ?k1), m, phone(sue, ?k1), nil)
+6. pv(m, phone(sue, ?k1), nil)
+7. pv(m, (c(a), phone(sue, ?k1)), nil)
+8. bc(t(a, ?k1, f(U), V) :- c(a), phone(sue, ?k1), m, t(a, ?k1, f(U), V), nil)
+9. bc(all D : t(a, ?k1, f(U), D) :- c(a), phone(sue, ?k1), m, t(a, ?k1, f(U), V), nil)
+10. bc(all* C : all D : t(a, ?k1, C, D) :- c(a), phone(sue, ?k1), m, t(a, ?k1, f(U), V), <C, f(U)>)
+11. bc(all* B : all* C : all D : t(a, B, C, D) :- c(a), phone(sue, B), m, t(a, ?k1, f(U), V), \
+<B, ?k1>)
+12. bc(all A : all* B : all* C : all D : t(A, B, C, D) :- c(A), phone(sue, B), m, \
+t(a, ?k1, f(U), V), nil)
+13. pv(m, t(a, ?k1, f(U), V), nil)
+14. pv(m, (phone(sue, ?k1), t(a, ?k1, f(U), V)), nil)
+15. bc(go :- phone(sue, ?k1), t(a, ?k1, f(U), V), m, go, nil)
+16. bc(all N : go :- phone(sue, N), t(a, N, f(U), V), m, go, nil)
+17. bc(all V : all N : go :- phone(sue, N), t(a, N, f(U), V), m, go, nil)
+18. bc(all U : all V : all N : go :- phone(sue, N), t(a, N, f(U), V), m, go, nil)
+19. pv(m, go, nil)
+answer: {C = f(U), B = ?k1}"""
+
+
+def test_a_clause_layer_prints_the_goal_terms_its_head_took():
+    # after a reset, ?k1 and go's fresh U share the id 1, and U is printed
+    # (step 8) before ?k1 is printed as a witness (steps 9-12): a text kept
+    # by variable id must not be read for a witness that is no variable
+    reset_fresh_counters()
+    prog = load(READ, name="m")
+    reset_fresh_counters()
+    lenient = SolveConfig(groundness_mode="lenient")
+    (sol,) = solve(prog, desugar_query_vars(parse_query("go")), lenient)
+    assert prog.unknown_table["K"].id == sol.trace.raw_steps[-3][1].witnesses[0].id == 1
+    assert format_proof(sol.trace, sol.answer) == READ_PROOF
+    assert solution_json(sol, "success") == {
+        "answers": [{"var": "C", "term": "f(U)"}, {"var": "B", "term": "?k1"}],
+        "trace": [_json_step(i, *step) for i, step in enumerate(READ_STEPS, 1)],
+        "status": "success",
+    }
 
 
 def test_a_compound_head_argument_rejects_another_functor_or_arity():
