@@ -49,20 +49,21 @@ def skolemize(module: SourceModule) -> Program:
     silently.  Raises ParseError when a declared unknown name collides with
     an explicitly bound clause variable, or when a clause is ill-formed.
     """
-    issues: list[ParseIssue] = []
+    issues: list[tuple[int, str]] = []  # a clause's number and a message
     table = {name: fresh_unknown() for name in module.unknown_decls}
     closed: list[Clause] = []
     arities: dict[str, int] = {}
-    for raw, (line, col) in zip(module.raw_clauses, module.source_spans):
+    for k, raw in enumerate(module.raw_clauses):
         try:
             clause = desugar_clause_vars(raw, table)
         except ValueError as err:
-            issues.append(ParseIssue(str(err), line, col))
+            issues.append((k, str(err)))
             continue
-        issues.extend(ParseIssue(p, line, col) for p in wellformed(clause, arities=arities))
+        issues.extend((k, p) for p in wellformed(clause, arities=arities))
         closed.append(clause)
     if issues:
-        raise ParseError(issues)
+        spans = module.source_spans
+        raise ParseError([ParseIssue(p, *spans[k]) for k, p in issues])
     return Program(
         name=module.name, clauses=tuple(closed), unknown_table=table, arity_table=arities
     )

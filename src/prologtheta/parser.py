@@ -18,12 +18,19 @@ uppercase are variables.  ``%`` starts a line comment.  ``?`` is reserved
 ``some``/``all`` binders scope to the end of the enclosing group.  A ``*``
 argument is only legal in facts, where loading turns it into a fresh
 don't-know constant.
+
+The lexer is one regular expression, ``_TOKEN``, that splits the text into
+token strings, each token's kind following from its text.  A second pass of
+it (``_scan``) finds lines and columns when an issue is reported, and reads
+a text with a match that is not one token (only malformed text has one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+import re
+from dataclasses import dataclass, field
+from itertools import groupby
+from typing import Callable, Iterator, Optional
 
 from .terms import Compound, Const, Star, Term, Unknown, Var, fold_term, fresh_var, subterms
 from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule
@@ -54,117 +61,149 @@ class ParseError(Exception):
 class SourceModule:
     """A parsed module, before Skolemization and variable closure.
 
-    ``source_spans`` holds the line and column of each raw clause.
+    ``clause_starts`` holds the index of each raw clause's first token in
+    ``text``; ``source_spans`` finds their lines and columns.
     """
 
     name: str
     unknown_decls: tuple[str, ...]
     raw_clauses: tuple[Clause, ...]
-    source_spans: tuple[tuple[int, int], ...]
+    text: str = field(repr=False)
+    clause_starts: tuple[int, ...] = field(repr=False)
+
+    @property
+    def source_spans(self) -> tuple[tuple[int, int], ...]:
+        """The line and column of each raw clause, found by a scan of the text."""
+        places = _places(self.text)[1]
+        return tuple(places[at] for at in self.clause_starts)
 
 
-@dataclass
-class _Token:
-    kind: str  # lower upper anon int star lparen rparen comma period colon turnstile eof
-    text: str
-    line: int
-    col: int
+# Whitespace, then a comment or one token: a run of word characters (those of
+# str.isalnum, and "_") with any star right after it, ":-", or any other
+# character.  The group is empty only at the end of the text, the end-of-input
+# token.  Comments are tokens, dropped later: a repeated group would keep
+# matcher state per repeat.  ``_pieces`` splits a match that is not one token.
+_TOKEN = re.compile(r"[ \t\r\n]*(%[^\n]*|\w+\*?|:-|.)?")
+
+_KINDS = {"": "eof", ":-": "turnstile", "(": "lparen", ")": "rparen", ",": "comma", ".": "period",
+          ":": "colon", "*": "star", "_": "anon", "some*": "lower", "all*": "lower"}
 
 
-_PUNCTUATION = {
-    "(": "lparen",
-    ")": "rparen",
-    ",": "comma",
-    ".": "period",
-    ":": "colon",
-    "*": "star",
-}
+def _kind(text: str) -> Optional[str]:
+    """The kind of the token with this text; None if the text is no token."""
+    kind = _KINDS.get(text)
+    if kind or text[-1] == "*":
+        return kind
+    if text[0].isalpha():
+        return "upper" if text[0].isupper() else "lower"
+    return "int" if text.isdigit() else None
 
 
-def _lex(text: str) -> tuple[list[_Token], list[ParseIssue]]:
-    """Tokenize, collecting lexical issues instead of stopping at the first.
+def _pieces(text: str) -> list[str]:
+    """The tokens and strays of a match that is not one token: a run of
+    digits is a number, a letter or "_" starts a word to the end of the
+    run, any other character is a stray, and a star joins only the words
+    ``some`` and ``all``."""
+    run, star = (text[:-1], ["*"]) if text[-1] == "*" else (text, [])
+    start = next((i for i, c in enumerate(run) if c.isalpha() or c == "_"), len(run))
+    pieces: list[str] = []
+    for digits, chars in groupby(run[:start], str.isdigit):
+        pieces.extend(["".join(chars)] if digits else chars)
+    word = run[start:]
+    if star and word in ("some", "all"):
+        word, star = word + "*", []
+    return pieces + ([word] if word else []) + star
 
-    Offending characters are skipped so the parser can keep reporting
-    later problems in the same input.  A column is the offset from the
-    start of the current line, which only a newline in whitespace moves.
-    """
-    tokens: list[_Token] = []
-    issues: list[ParseIssue] = []
-    line, line_start, i, n = 1, 0, 0, len(text)
-    while i < n:
-        ch = text[i]
-        col = i - line_start + 1
-        j = i + 1  # the end of this lexeme
-        if ch in " \t\r\n":
-            if ch == "\n":
-                line += 1
-                line_start = j
-        elif ch == "%":
-            j = text.find("\n", i)
-            if j < 0:
-                j = n
-        elif ch.isdigit():
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-        elif ch.isalpha() or ch == "_":
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word == "_":
-                tokens.append(_Token("anon", word, line, col))
-            elif word[0] == "_":
-                issues.append(ParseIssue(f"invalid identifier {word!r}", line, col))
-            elif word[0].isupper():
-                tokens.append(_Token("upper", word, line, col))
-            else:
-                # some* / all* lex as single words when the star is adjacent
-                if word in ("some", "all") and j < n and text[j] == "*":
-                    word += "*"
-                    j += 1
-                tokens.append(_Token("lower", word, line, col))
-        elif text.startswith(":-", i):
-            j += 1
-            tokens.append(_Token("turnstile", ":-", line, col))
-        elif ch in _PUNCTUATION:
-            tokens.append(_Token(_PUNCTUATION[ch], ch, line, col))
-        elif ch == "?":
-            issues.append(
-                ParseIssue("reserved token '?' (don't-know constants cannot be "
-                           "written in source)", line, col)
-            )
+
+def _lex(text: str) -> tuple[list[str], list[str], bool]:
+    """The texts and kinds of the tokens, ending in ``""``, ``"eof"``, and
+    whether the text has no strays.  Strays are left out, so the parser
+    can go on to report later problems in the same input."""
+    texts = _TOKEN.findall(text)
+    if len(texts) > 1 and not texts[-2]:
+        texts.pop()  # after trailing whitespace, the end matches again, empty
+    if "%" in text:
+        texts = [t for t in texts if t[:1] != "%"]
+    kinds = {t: _kind(t) for t in set(texts)}
+    if None not in kinds.values():
+        return texts, list(map(kinds.__getitem__, texts)), True
+    scanned = [(piece, kind) for _, _, piece, kind in _scan(text)]
+    texts, kinds = map(list, zip(*[(piece, kind) for piece, kind in scanned if kind]))
+    return texts, kinds, len(texts) == len(scanned)
+
+
+def _scan(text: str) -> Iterator[tuple[int, int, str, Optional[str]]]:
+    """``_lex``'s reading of the text with places: each token and stray as
+    ``(line, col, text, kind)``, kind None for a stray.  A column counts
+    from the start of its line, which only a newline in whitespace moves."""
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        lexeme = m.group(1) or ""
+        at = m.end() - len(lexeme)
+        if "\n" in m.group():
+            line += text.count("\n", m.start(), at)
+            line_start = text.rfind("\n", m.start(), at) + 1
+        if lexeme[:1] == "%":
+            continue
+        kind = _kind(lexeme)
+        for piece in [lexeme] if kind else _pieces(lexeme):
+            yield line, at - line_start + 1, piece, kind or _kind(piece)
+            at += len(piece)
+        if not lexeme:
+            return  # the end of the text
+
+
+def _places(text: str) -> tuple[list[ParseIssue], list[tuple[int, int]]]:
+    """The issues of the text's strays, and the line and column of each token."""
+    strays, places = [], []
+    for line, col, piece, kind in _scan(text):
+        if kind:
+            places.append((line, col))
+        elif piece == "?":
+            strays.append(ParseIssue("reserved token '?' (don't-know constants cannot be "
+                                     "written in source)", line, col))
         else:
-            issues.append(ParseIssue(f"unexpected character {ch!r}", line, col))
-        i = j
-    tokens.append(_Token("eof", "", line, n - line_start + 1))
-    return tokens, issues
+            what = "invalid identifier" if piece[0] == "_" else "unexpected character"
+            strays.append(ParseIssue(f"{what} {piece!r}", line, col))
+    return strays, places
+
+
+def _report(text: str, errors: list[tuple[int, str]]) -> ParseError:
+    """The error for the text's strays, then for each (token index, message)."""
+    strays, places = _places(text)
+    return ParseError(strays + [ParseIssue(message, *places[at]) for at, message in errors])
+
+
+class _Syntax(Exception):
+    """A syntax error, as the index of the token it is at and a message."""
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, texts: list[str], kinds: list[str]):
+        self.texts = texts
+        self.kinds = kinds
         self.pos = 0
         # provisional per-input variable table: one Var per name
         self.var_table: dict[str, Var] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The next token's kind."""
+        return self.kinds[self.pos]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def take(self) -> str:
+        """The next token's text, stepping past it unless it ends the input."""
+        text = self.texts[self.pos]
+        if text:
             self.pos += 1
-        return tok
+        return text
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
+    def expect(self, kind: str, what: str) -> str:
+        if self.kinds[self.pos] != kind:
+            self.fail(f"expected {what}, found {self.texts[self.pos] or 'end of input'!r}")
         return self.take()
 
-    def fail(self, message: str, tok: Optional[_Token] = None) -> None:
-        tok = tok or self.peek()
-        raise ParseError([ParseIssue(message, tok.line, tok.col)])
+    def fail(self, message: str, at: Optional[int] = None) -> None:
+        raise _Syntax(self.pos if at is None else at, message)
 
     def var_for(self, name: str) -> Var:
         v = self.var_table.get(name)
@@ -176,45 +215,44 @@ class _Parser:
     # -- terms ------------------------------------------------------------
 
     def parse_term(self, allow_star: bool) -> Term:
-        tok = self.peek()
-        if tok.kind == "upper":
-            self.take()
-            return self.var_for(tok.text)
-        if tok.kind == "anon":
+        kind = self.peek()
+        if kind == "upper":
+            return self.var_for(self.take())
+        if kind == "anon":
             self.take()
             return fresh_var("_")
-        if tok.kind == "int":
-            self.take()
-            return Const(tok.text)
-        if tok.kind == "star":
+        if kind == "int":
+            return Const(self.take())
+        if kind == "star":
             if not allow_star:
                 self.fail("placeholder '*' is only allowed in fact arguments")
             self.take()
             return Star()
-        if tok.kind == "lower":
-            if tok.text in RESERVED_WORDS:
-                self.fail(f"reserved word {tok.text!r} cannot be used as a term")
+        text = self.texts[self.pos]
+        if kind == "lower":
+            if text in RESERVED_WORDS:
+                self.fail(f"reserved word {text!r} cannot be used as a term")
             self.take()
             args = self.parse_args(allow_star)
-            return Compound(tok.text, args) if args else Const(tok.text)
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+            return Compound(text, args) if args else Const(text)
+        self.fail(f"expected a term, found {text or 'end of input'!r}")
 
     def parse_atom(self, allow_star: bool) -> Atom:
-        tok = self.peek()
-        if tok.kind != "lower":
-            self.fail(f"expected a predicate name, found {tok.text or 'end of input'!r}")
-        if tok.text in RESERVED_WORDS:
-            self.fail(f"reserved word {tok.text!r} cannot be used as a predicate")
+        text = self.texts[self.pos]
+        if self.peek() != "lower":
+            self.fail(f"expected a predicate name, found {text or 'end of input'!r}")
+        if text in RESERVED_WORDS:
+            self.fail(f"reserved word {text!r} cannot be used as a predicate")
         self.take()
-        return Atom(tok.text, self.parse_args(allow_star))
+        return Atom(text, self.parse_args(allow_star))
 
     def parse_args(self, allow_star: bool) -> tuple[Term, ...]:
         """The parenthesized argument list after a name; () when none follows."""
-        if self.peek().kind != "lparen":
+        if self.peek() != "lparen":
             return ()
         self.take()
         args = [self.parse_term(allow_star)]
-        while self.peek().kind == "comma":
+        while self.peek() == "comma":
             self.take()
             args.append(self.parse_term(allow_star))
         self.expect("rparen", "')'")
@@ -223,50 +261,55 @@ class _Parser:
     # -- goals ------------------------------------------------------------
 
     def parse_goal_group(self) -> Goal:
-        """A comma-separated group; binders swallow the rest of the group."""
+        """A comma-separated group; binders swallow the rest of the group,
+        each opening a group of its own in a loop, closed at the end."""
         items: list[Goal] = []
+        opened: list[tuple[list[Goal], str, bool]] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "lower" and tok.text in ("some", "some*"):
-                noisy = tok.text == "some*"
+            text = self.texts[self.pos]
+            if text in ("some", "some*"):
                 self.take()
-                var_tok = self.expect("upper", "a variable after the binder")
+                name = self.expect("upper", "a variable after the binder")
                 self.expect("colon", "':'")
-                body = self.parse_goal_group()
-                items.append(Exists(self.var_for(var_tok.text), body, noisy))
-                break
-            if tok.kind == "lower" and tok.text in ("all", "all*"):
+                opened.append((items, name, text == "some*"))
+                items = []
+                continue
+            if text in ("all", "all*"):
                 self.fail("universal binders are not allowed in goals")
-            if tok.kind == "lparen":
+            if self.peek() == "lparen":
                 self.take()
                 items.append(self.parse_goal_group())
                 self.expect("rparen", "')'")
             else:
                 items.append(self.parse_atom(allow_star=False))
-            if self.peek().kind == "comma":
+            if self.peek() == "comma":
                 self.take()
                 continue
             break
-        goal = items[-1]
-        for item in reversed(items[:-1]):
-            goal = Conj(item, goal)
-        return goal
+        goal = items.pop()
+        while True:
+            for item in reversed(items):
+                goal = Conj(item, goal)
+            if not opened:
+                return goal
+            items, name, noisy = opened.pop()
+            goal = Exists(self.var_for(name), goal, noisy)
 
     # -- clauses ----------------------------------------------------------
 
     def parse_clause(self) -> Clause:
         prefixes: list[tuple[Var, bool]] = []
-        while self.peek().text in ("all", "all*"):
-            noisy = self.take().text == "all*"
+        while self.texts[self.pos] in ("all", "all*"):
+            noisy = self.take() == "all*"
             names = [self.expect("upper", "a variable after the prefix")]
-            while self.peek().kind == "comma":
+            while self.peek() == "comma":
                 self.take()
                 names.append(self.expect("upper", "a variable"))
             self.expect("colon", "':'")
-            prefixes.extend((self.var_for(t.text), noisy) for t in names)
+            prefixes.extend((self.var_for(name), noisy) for name in names)
         head = self.parse_atom(allow_star=True)
         clause: Clause
-        if self.peek().kind == "turnstile":
+        if self.peek() == "turnstile":
             if any(type(t) is Star for arg in head.args for t in subterms(arg)):
                 self.fail("placeholder '*' is only allowed in fact arguments")
             self.take()
@@ -286,88 +329,82 @@ def parse_module(text: str, default_name: str = "main") -> SourceModule:
     A malformed clause is reported and parsing resumes after the next
     period, so one pass collects every error in the input.
     """
-    tokens, issues = _lex(text)
-    parser = _Parser(tokens)
+    texts, kinds, clean = _lex(text)
+    parser = _Parser(texts, kinds)
     name = default_name
     had_header = False
     unknown_decls: list[str] = []
     clauses: list[Clause] = []
-    spans: list[tuple[int, int]] = []
+    starts: list[int] = []
+    errors: list[tuple[int, str]] = []
 
-    def skip_to_next_clause() -> None:
-        while parser.peek().kind not in ("period", "eof"):
-            parser.take()
-        if parser.peek().kind == "period":
-            parser.take()
-
-    while parser.peek().kind != "eof":
-        tok = parser.peek()
+    while parser.peek() != "eof":
+        at = parser.pos
         try:
-            if tok.text == "module" and parser.tokens[parser.pos + 1].kind == "lower":
+            if texts[at] == "module" and kinds[at + 1] == "lower":
                 parser.take()
-                name_tok = parser.take()
+                header_name = parser.take()
                 parser.expect("period", "'.' after the module header")
                 if had_header:
-                    parser.fail("duplicate module header", tok)
+                    parser.fail("duplicate module header", at)
                 if clauses or unknown_decls:
-                    parser.fail("module header must come first", tok)
-                name = name_tok.text
+                    parser.fail("module header must come first", at)
+                name = header_name
                 had_header = True
                 continue
-            if tok.kind == "lower" and tok.text == "unknown":
+            if texts[at] == "unknown":
                 parser.take()
-                decl_toks = [parser.expect("upper", "a name after 'unknown'")]
-                while parser.peek().kind == "comma":
+                decls = [parser.pos]
+                parser.expect("upper", "a name after 'unknown'")
+                while parser.peek() == "comma":
                     parser.take()
-                    decl_toks.append(parser.expect("upper", "a name"))
+                    decls.append(parser.pos)
+                    parser.expect("upper", "a name")
                 parser.expect("period", "'.' after the unknown declaration")
                 if clauses:
-                    parser.fail("unknown declaration must precede clauses", tok)
-                for t in decl_toks:
-                    if t.text in unknown_decls:
-                        parser.fail(f"duplicate unknown name {t.text}", t)
-                    unknown_decls.append(t.text)
+                    parser.fail("unknown declaration must precede clauses", at)
+                for decl in decls:
+                    if texts[decl] in unknown_decls:
+                        parser.fail(f"duplicate unknown name {texts[decl]}", decl)
+                    unknown_decls.append(texts[decl])
                 continue
             # each clause resolves names in its own scope
             parser.var_table = {}
             clauses.append(parser.parse_clause())
-            spans.append((tok.line, tok.col))
-        except ParseError as err:
-            issues.extend(err.issues)
-            skip_to_next_clause()
-    if issues:
-        raise ParseError(issues)
-    return SourceModule(
-        name=name,
-        unknown_decls=tuple(unknown_decls),
-        raw_clauses=tuple(clauses),
-        source_spans=tuple(spans),
-    )
+            starts.append(at)
+        except _Syntax as err:
+            errors.append(err.args)
+            while parser.take() not in (".", ""):  # resume after the next period
+                pass
+    if errors or not clean:
+        raise _report(text, errors)
+    return SourceModule(name, tuple(unknown_decls), tuple(clauses), text, tuple(starts))
+
+
+def _parse(text: str, rule: Callable[[_Parser], object], what: str):
+    """Parse all of ``text`` by ``rule``; strays stop it before parsing."""
+    texts, kinds, clean = _lex(text)
+    if not clean:
+        raise _report(text, [])
+    parser = _Parser(texts, kinds)
+    try:
+        out = rule(parser)
+        if what == "query" and parser.peek() == "period":
+            parser.take()  # a query's period is optional
+        if parser.peek() != "eof":
+            parser.fail(f"unexpected input after the {what}")
+    except _Syntax as err:
+        raise _report(text, [err.args]) from None
+    return out
 
 
 def parse_query(text: str) -> Goal:
     """Parse a query; the trailing period is optional."""
-    tokens, issues = _lex(text)
-    if issues:
-        raise ParseError(issues)
-    parser = _Parser(tokens)
-    goal = parser.parse_goal_group()
-    if parser.peek().kind == "period":
-        parser.take()
-    if parser.peek().kind != "eof":
-        parser.fail("unexpected input after the query")
-    return goal
+    return _parse(text, _Parser.parse_goal_group, "query")
 
 
 def parse_term(text: str) -> Term:
-    tokens, issues = _lex(text)
-    if issues:
-        raise ParseError(issues)
-    parser = _Parser(tokens)
-    term = parser.parse_term(allow_star=False)
-    if parser.peek().kind != "eof":
-        parser.fail("unexpected input after the term")
-    return term
+    return _parse(text, lambda parser: parser.parse_term(allow_star=False), "term")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .terms import Compound, Star, Term, Var, fold_term, fresh_unknown, fresh_var, subterms
+from .terms import Compound, Star, Term, Var, fold_term, fresh_unknown, fresh_var, reserve_var_ids
+from .terms import subterms
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,8 @@ def wellformed(node: Union[Goal, Clause], *, arities: Optional[dict] = None) -> 
 
     Returns a list of violation messages; empty means ok.  ``arities`` may
     be a shared predicate table so consistency is enforced across a whole
-    program (it is extended in place).
+    program (it is extended in place).  Every binder's id is reserved, so
+    no variable drawn later, after a counter reset too, can take it.
     """
     errors: list[str] = []
     if arities is None:
@@ -295,6 +297,7 @@ def wellformed(node: Union[Goal, Clause], *, arities: Optional[dict] = None) -> 
         return a
 
     def bind(var: Var, noisy: bool, bound: frozenset) -> tuple:
+        reserve_var_ids(var.id)
         return var, noisy, bound | {var.id}
 
     try:

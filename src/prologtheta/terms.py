@@ -84,10 +84,19 @@ def fresh_unknown() -> Unknown:
     return Unknown(next(_unknown_ids))
 
 
+def reserve_var_ids(top: int) -> None:
+    """Draw no variable id up to ``top`` from now on; a positive ``top`` may
+    skip one id, as the counter is read by drawing from it."""
+    global _var_ids
+    if top and next(_var_ids) <= top:
+        _var_ids = itertools.count(top + 1)
+
+
 def reset_fresh_counters() -> None:
     """Restart id numbering.  Meant for tests and fresh CLI sessions: call it
     before loading the programs it serves, as a fresh id drawn later may
-    equal the id of a binder in a program loaded before."""
+    equal the id of a binder in a program loaded before (a goal's own are
+    reserved when it is solved)."""
     global _var_ids, _unknown_ids
     _var_ids = itertools.count(1)
     _unknown_ids = itertools.count(1)

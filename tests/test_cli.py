@@ -758,6 +758,26 @@ def test_a_module_that_is_not_utf8_is_an_error_without_traceback(
     assert printed.startswith(f"error: 0:0: cannot read {module}: 'utf-8' codec can't decode")
 
 
+def _facts(prefix, n):
+    return "".join(f"f({prefix}{i}, v{i}).\n" for i in range(n))
+
+
+@pytest.mark.parametrize("text, message", [
+    (_facts("c", 20_000) + "g(a, ?).\n",
+     "20001:6: reserved token '?' (don't-know constants cannot be written in source); "
+     "20001:7: expected a term, found ')'"),
+    ("unknown K.\n" + _facts("c", 15_000) + "all K : h(K).\n" + _facts("d", 4_999),
+     "15002:1: ambiguous unknown scope: K"),
+], ids=["lexical-and-syntax", "load"])
+def test_an_issue_deep_in_a_large_module_is_placed_exactly(text, message, tmp_path, capsys):
+    # lines and columns are found only once an issue is reported: a lexical
+    # and a syntax issue on the last line, and a load issue on line 15,002
+    module = tmp_path / "big.plt"
+    module.write_text(text, encoding="utf-8")
+    assert main(["run", "--module", str(module), "--query", "f(c1, X)"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_matches_on_a_flat_rule_of_a_thousand_atoms(tmp_path, capsys):
     # the oracle walks a rule body's Conj spine in a loop, as the engine does
     module = tmp_path / "flat.plt"

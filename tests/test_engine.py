@@ -1097,6 +1097,40 @@ def test_a_clause_layer_prints_the_goal_terms_its_head_took():
     }
 
 
+RESET_PROGRAM = "phone(sue, 4450).\nt(a, N, f(U), V) :- phone(sue, N), c(U), c(V).\nc(b).\n"
+RESET_QUERY = "some U : some V : some* N : phone(sue, N), t(a, N, f(U), V)"
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_a_counter_reset_between_parsing_and_solving_changes_nothing(trace):
+    # after the second reset, the variables the search draws would take the
+    # ids 1-3 of the query's binders U, V and N, which bindings and trace
+    # texts are keyed by, unless solving reserves the goal's ids first
+    def run(reset):
+        reset_fresh_counters()
+        prog = load(RESET_PROGRAM)
+        reset_fresh_counters()
+        goal = desugar_query_vars(parse_query(RESET_QUERY))
+        if reset:
+            reset_fresh_counters()
+        config = SolveConfig(max_solutions=None, trace_enabled=trace)
+        return [(s.answer, format_proof(s.trace, s.answer) if trace else None)
+                for s in solve(prog, goal, config)]
+
+    assert run(reset=True) == run(reset=False)
+    assert [answer for answer, _ in run(reset=True)] == [(("N", Const("4450")),)]
+
+
+def test_a_query_of_five_thousand_written_binders_answers_untraced():
+    consts = ", ".join(f"c{i}" for i in range(5_000))
+    args = ", ".join(f"X{i}" for i in range(5_000))
+    query = "".join(f"some* X{i} : " for i in range(5_000)) + f"p({args})"
+    _, _, session = ask(f"p({consts}).", query, SolveConfig(trace_enabled=False))
+    (sol,) = session
+    # answers come innermost binder first, as the trace records them bottom-up
+    assert sol.answer == tuple((f"X{i}", Const(f"c{i}")) for i in reversed(range(5_000)))
+
+
 def test_a_compound_head_argument_rejects_another_functor_or_arity():
     for query, want in (("p(a, g(b))", []), ("p(a, f(b, c))", []), ("p(a, f(b))", [[]])):
         assert answers(ask("p(a, f(X)).", query)[2]) == want, query

@@ -1,7 +1,9 @@
 """Concrete syntax: parsing, error reporting, and round-tripping."""
 
 import ast
+import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 
 from prologtheta.terms import Compound, Const, Star, Var
 from prologtheta.syntax import Atom, Conj, Exists, Fact, Forall, Rule
+from prologtheta.fuzz import random_case
 from prologtheta.parser import (
     ParseError,
+    ParseIssue,
     _lex,
+    _places,
     format_clause,
     format_goal,
     format_term,
@@ -171,20 +176,124 @@ def _points_at(lines, line, col, text):
     return lines[line - 1][col - 1:col - 1 + len(text)] == text
 
 
+def _reference_lex(text):
+    """The character-by-character lexer the regular expression replaced,
+    kept as a reference: tokens as ``(kind, text, line, col)``, and issues.
+    """
+    tokens, issues = [], []
+    line, line_start, i, n = 1, 0, 0, len(text)
+    while i < n:
+        ch = text[i]
+        col = i - line_start + 1
+        j = i + 1  # the end of this lexeme
+        if ch in " \t\r\n":
+            if ch == "\n":
+                line += 1
+                line_start = j
+        elif ch == "%":
+            j = text.find("\n", i)
+            if j < 0:
+                j = n
+        elif ch.isdigit():
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], line, col))
+        elif ch.isalpha() or ch == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word == "_":
+                tokens.append(("anon", word, line, col))
+            elif word[0] == "_":
+                issues.append(ParseIssue(f"invalid identifier {word!r}", line, col))
+            elif word[0].isupper():
+                tokens.append(("upper", word, line, col))
+            else:
+                # some* / all* lex as single words when the star is adjacent
+                if word in ("some", "all") and j < n and text[j] == "*":
+                    word += "*"
+                    j += 1
+                tokens.append(("lower", word, line, col))
+        elif text.startswith(":-", i):
+            j += 1
+            tokens.append(("turnstile", ":-", line, col))
+        elif ch in "(),.:*":
+            kind = {"(": "lparen", ")": "rparen", ",": "comma", ".": "period", ":": "colon",
+                    "*": "star"}[ch]
+            tokens.append((kind, ch, line, col))
+        elif ch == "?":
+            issues.append(
+                ParseIssue("reserved token '?' (don't-know constants cannot be "
+                           "written in source)", line, col)
+            )
+        else:
+            issues.append(ParseIssue(f"unexpected character {ch!r}", line, col))
+        i = j
+    tokens.append(("eof", "", line, n - line_start + 1))
+    return tokens, issues
+
+
+def _tokens_and_issues(text):
+    """The lexer's tokens with the places found for them, in the reference's
+    form, and its issues; the texts and kinds of one pass equal the other's."""
+    texts, kinds, clean = _lex(text)
+    issues, places = _places(text)
+    assert len(places) == len(texts) and clean == (not issues)
+    return [(k, t, *place) for k, t, place in zip(kinds, texts, places)], issues
+
+
 @given(st.lists(st.sampled_from(_LEXEMES), max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_every_token_and_lexical_issue_points_at_its_text(lexemes):
     text = "".join(lexemes)
     lines = text.split("\n")
-    tokens, issues = _lex(text)
-    *tokens, eof = tokens
-    for tok in tokens:
-        assert _points_at(lines, tok.line, tok.col, tok.text), tok
-    assert (eof.line, eof.col) == (len(lines), len(lines[-1]) + 1)
+    tokens, issues = _tokens_and_issues(text)
+    *tokens, (_, _, *eof) = tokens
+    for kind, token, line, col in tokens:
+        assert _points_at(lines, line, col, token), (kind, token, line, col)
+    assert tuple(eof) == (len(lines), len(lines[-1]) + 1)
     for issue in issues:
         # each message quotes the offending text: an identifier or a character
         quoted = re.search(r"'(.*?)'", issue.message).group(1)
         assert _points_at(lines, issue.line, issue.col, ast.literal_eval(f"'{quoted}'")), issue
+
+
+@given(st.lists(st.sampled_from(_LEXEMES), max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_the_lexer_reads_any_text_as_the_reference_does(lexemes):
+    text = "".join(lexemes)
+    assert _tokens_and_issues(text) == _reference_lex(text)
+
+
+@pytest.mark.parametrize("text", [
+    "p(a). % no newline after this comment",
+    "%", "p %", "p(a).\n%x", "\n\n  % two lines down",
+    "42abc", "_x", "handsome*", "some*X", "all* X", "some *", "x*", "4some*", "4_some*",
+    "\u00e9t\u00e9(\u00c9t\u00e9)", "\u00b2\u00bd3", "x\u00b2\u00bd", "\u00bd*", "?k1", "a\x0bb",
+    "p :- q.", ":", ":-:-", "",
+])
+def test_the_lexer_reads_edge_texts_as_the_reference_does(text):
+    assert _tokens_and_issues(text) == _reference_lex(text)
+
+
+def test_the_lexer_reads_the_fuzz_cases_as_the_reference_does():
+    for seed in range(600):
+        case = random_case(random.Random(seed))
+        for text in (case.program_text, case.query_text):
+            assert _tokens_and_issues(text) == _reference_lex(text), (seed, text)
+
+
+def test_long_runs_of_whitespace_and_comments_lex_in_little_memory():
+    # a repeated group in the token pattern would keep matcher state for each
+    # character skipped, over 100 MB for a million spaces; comments are matched
+    # as tokens, so 100,000 of them cost a list of that length, 0.8 MB
+    for text, limit in ((" " * 1_000_000 + "p.", 100_000), ("%\n" * 100_000 + "p.", 2_000_000)):
+        tracemalloc.start()
+        try:
+            assert _lex(text)[0] == ["p", ".", ""]
+            assert tracemalloc.get_traced_memory()[1] < limit
+        finally:
+            tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +355,20 @@ def test_a_flat_body_of_ten_thousand_atoms_round_trips():
 
     assert again.head == rule.head and spine(again.body) == spine(rule.body)
     assert len(spine(rule.body)) == 10_000
+
+
+def test_a_query_of_five_thousand_written_binders_parses_and_round_trips():
+    # the parser reads a chain of written binders in a loop, so its length costs no stack
+    args = ", ".join(f"X{i}" for i in range(5_000))
+    text = "".join(f"some* X{i} : " for i in range(5_000)) + f"p({args})"
+    goal = parse_query(text)
+    assert format_goal(goal) == text
+    assert format_goal(parse_query(format_goal(goal))) == text
+    binders = 0
+    while isinstance(goal, Exists):
+        assert goal.noisy and goal.var.name == f"X{binders}"
+        binders, goal = binders + 1, goal.body
+    assert binders == 5_000 and goal.args[4_999] is not goal.args[0]
 
 
 def test_goal_round_trip_on_source_corpus():
