@@ -5,7 +5,8 @@ finite failure, 2 on any error, 3 when the search was cut by the depth
 limit before finding a solution.  ``check`` exits 0 on MATCH, 1 on
 MISMATCH, 2 on errors, 3 on oracle overflow or an engine search it could
 not certify.  Input text nested too deeply to parse or load is an error
-(2); terms the search builds are walked in loops, so they have no limit.
+(2), as is a stdout closed early (``| head``); terms the search builds
+are walked in loops, so they have no limit.
 
 Set PROLOGTHETA_NO_COLOR to disable ANSI styling (it is also disabled when
 stdout is not a terminal).
@@ -306,6 +307,9 @@ def run_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         for flag, value in (("--fuzz", args.fuzz), ("--universe-depth", args.universe_depth)):
             if value < 0:
                 raise ValueError(f"{flag} must be at least 0, not {value}")
+        for flag, value in (("--query", args.query), ("--module", args.module)):
+            if args.fuzz and value:
+                raise ValueError(f"--fuzz generates its own cases, so it takes no {flag}")
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -401,14 +405,19 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "run":
-            return run_batch(args, sys.stdout, sys.stderr)
-        if args.command == "repl":
-            return run_repl(args, sys.stdin, sys.stdout, sys.stderr)
-        return run_check(args, sys.stdout, sys.stderr)
+        code = (run_batch(args, sys.stdout, sys.stderr) if args.command == "run" else
+                run_repl(args, sys.stdin, sys.stdout, sys.stderr) if args.command == "repl" else
+                run_check(args, sys.stdout, sys.stderr))
+        sys.stdout.flush()  # here, so that a closed stdout is caught below, not at exit
+        return code
     except RecursionError as exc:
         # the parser and the loader recurse on the nesting of the input text
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # stdout was closed early (``| head``): as the Python docs on SIGPIPE
+        # advise, point it at devnull, so that the final flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

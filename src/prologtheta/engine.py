@@ -44,17 +44,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .terms import Compound, Const, Term, Unknown, Var, fresh_var, is_ground, occurs
 from .terms import resolve_term, unify_into, walk_shallow
-from .syntax import (
-    Atom,
-    Clause,
-    Conj,
-    Exists,
-    Fact,
-    Forall,
-    Goal,
-    map_terms,
-    wellformed,
-)
+from .syntax import Atom, Clause, Conj, Exists, Fact, Goal, binders, map_terms, wellformed
 from .loader import Program
 from .parser import compound_text, format_clause, format_goal, format_term
 
@@ -294,10 +284,7 @@ def _compile(clause: Clause) -> _Compiled:
     trail, oc, head)``, which sets the head's slots of ``w``, then ``build(w,
     body)``, None for a fact; ``head`` and ``body`` are the constants,
     ``sources`` the sources."""
-    layers, core = [], clause
-    while type(core) is Forall:
-        layers.append(core)
-        core = core.inner
+    layers, core = template = binders(clause)
     slots = {layer.var.id: i for i, layer in enumerate(layers)}
     match, head, match_source, met = _generated(
         ("match", len(core.head.args)), core.head.args, slots)
@@ -307,7 +294,7 @@ def _compile(clause: Clause) -> _Compiled:
         names=tuple(layer.var.name for layer in layers),
         noisy=tuple((i, layer.var.name) for i, layer in enumerate(layers) if layer.noisy)[::-1],
         fresh=tuple((i, layer.var.name) for i, layer in enumerate(layers) if i not in met),
-        template=(tuple(layers), core), match=match, head=head, build=build, body=body,
+        template=template, match=match, head=head, build=build, body=body,
         sources=(match_source, build_source), shown={})
 
 
@@ -329,9 +316,7 @@ def _index(clauses: Sequence[Clause]) -> dict:
     the variable-headed ones.  None of them changes once built."""
     index: dict[str, tuple] = defaultdict(lambda: ([], {}, []))
     for pair in enumerate(clauses):
-        core = pair[1]
-        while type(core) is Forall:
-            core = core.inner
+        core = binders(pair[1])[1]
         every, by_key, wild = index[core.head.pred]
         key = _key(core.head.args[0]) if core.head.args else None
         (wild if key is None else by_key.setdefault(key, [])).append(pair)
@@ -433,21 +418,18 @@ class ProofSearch:
                     cont = (goal.left, depth, (goal.right, depth, done))
                     continue
                 if type(goal) is Exists:  # a chain of binders, renamed at once
-                    chain, witnesses, group = [], [], []
-                    while type(goal) is Exists:
-                        chain.append(goal)
-                        witnesses.append(fresh_var(goal.var.name))
-                        goal = goal.body
+                    template = chain, goal = binders(goal)
+                    witnesses, group = [fresh_var(b.var.name) for b in chain], []
                     for i in range(len(chain) - 1, -1, -1):  # innermost first
                         theta = (chain[i].var.name, witnesses[i]) if chain[i].noisy else None
                         if not lean:
-                            layer = _Layer((chain, goal), witnesses, i) if i else chain[0]
+                            layer = _Layer(template, witnesses, i) if i else chain[0]
                             group.append(("pv", program, layer, theta))
                         elif theta:
                             group.append(theta)
                     if group:
                         cont = (None, group, cont)
-                    cont = (_Layer((chain, goal), witnesses, len(chain)).build(), depth, cont)
+                    cont = (_Layer(template, witnesses, len(chain)).build(), depth, cont)
                     continue
                 if depth > limit:
                     self.depth_clipped = True
@@ -607,9 +589,7 @@ def format_proof(trace: ProofTrace, answer) -> str:
             continue
         # parenthesize a conjunction, also under binders, so step arguments
         # stay unambiguous; the parenthesized form reparses to the same goal
-        core = goal.template[1] if type(goal) is _Layer else goal  # past a layer's binders
-        while type(core) is Exists:
-            core = core.body
+        core = goal.template[1] if type(goal) is _Layer else binders(goal)[1]
         text = f"({text})" if type(core) is Conj else text
         lines.append(f"{index}. pv({label}, {text}, {theta})")
     pairs = ", ".join(

@@ -148,6 +148,12 @@ class CheckReport:
     detail: str = ""
 
 
+def _lenient(max_depth: int, occurs_check: bool) -> SolveConfig:
+    """The one config of every search here: all derivations, none traced."""
+    return SolveConfig(groundness_mode="lenient", max_depth=max_depth, max_solutions=None,
+                       occurs_check=occurs_check, trace_enabled=False)
+
+
 def differential_check(
     program: Program,
     goal,
@@ -158,16 +164,13 @@ def differential_check(
 ) -> CheckReport:
     """Compare the engine's strict-mode answer set against the oracle's,
     both bounded by ``max_depth`` nested calls, as ``(name, text)`` pairs:
-    a printed term is hashed in a loop, however deep it is."""
-    config = SolveConfig(
-        groundness_mode="strict",
-        max_depth=max_depth,
-        max_solutions=None,
-        occurs_check=occurs_check,
-        trace_enabled=False,
-    )
-    session = solve(program, goal, config)
-    engine_answers = frozenset(_texts(sol.answer) for sol in session)
+    a printed term is hashed in a loop, however deep it is.  Strict mode
+    only rejects a derivation whose noisy witness is not ground, so its
+    answers are the ground ones of one lenient search."""
+    session = solve(program, goal, _lenient(max_depth, occurs_check))
+    answers = [sol.answer for sol in session]
+    ground = [a for a in answers if all(is_ground(term) for _, term in a)]
+    engine_answers = frozenset(map(_texts, ground))
     if session.incomplete:
         return CheckReport(
             status="incomplete",
@@ -184,8 +187,7 @@ def differential_check(
         return CheckReport("match", engine_answers, oracle_answers)
     # strict mode drops an answer whose noisy witness nothing grounds, which
     # the oracle grounds with each universe term: such sets do not compare
-    lenient = solve(program, goal, replace(config, groundness_mode="lenient"))
-    if any(not is_ground(term) for sol in lenient for _, term in sol.answer):
+    if len(ground) < len(answers):
         return CheckReport(
             status="incomplete",
             engine_answers=engine_answers,
@@ -268,12 +270,6 @@ def erasure_outcomes(program: Program, goal, *, max_depth: int = 64,
     so both runs walk the same search tree.
     """
     twin_program = replace(program, clauses=tuple(silent_twin(c) for c in program.clauses))
-    config = SolveConfig(
-        groundness_mode="lenient",
-        max_depth=max_depth,
-        max_solutions=None,
-        occurs_check=occurs_check,
-        trace_enabled=False,
-    )
+    config = _lenient(max_depth, occurs_check)
     return (sum(1 for _ in solve(program, goal, config)),
             sum(1 for _ in solve(twin_program, silent_twin(goal), config)))

@@ -17,7 +17,7 @@ import itertools
 from typing import Mapping
 
 from .terms import Compound, Const, Term, Unknown, Var, fold_term, subterms
-from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, iter_atoms
+from .syntax import Atom, Clause, Conj, Exists, Fact, Goal, binders, iter_atoms
 from .loader import Program
 
 
@@ -107,7 +107,7 @@ def _match(pattern: tuple, ground: tuple, env: dict) -> bool:
 
 class _Enumerator:
     def __init__(self, program: Program, universe: tuple[Term, ...], work_limit: int):
-        self.program = program
+        self.clauses = list(map(binders, program.clauses))  # (layers, core) each
         self.universe = universe
         self.work_limit = work_limit
         self.work = 0
@@ -131,8 +131,8 @@ class _Enumerator:
             if cached is not None:
                 return cached
             out: set = set()
-            for clause in self.program.clauses:
-                out |= self.chain(clause, ground, depth)
+            for layers, core in self.clauses:
+                out |= self.chain(layers, core, ground, depth)
             result = frozenset(out)
             self.memo[key] = result
             return result
@@ -147,30 +147,24 @@ class _Enumerator:
                 goal = goal.right
                 if isinstance(goal, Conj):
                     self._tick()
-        if isinstance(goal, Exists):  # walk a chain of binders in a loop
-            binders = []
-            while isinstance(goal, Exists):
-                binders.append(goal)
-                goal = goal.body
-            for i in range(1, len(binders)):  # one tick per call a recursion would make
+        if isinstance(goal, Exists):
+            chain, goal = binders(goal)
+            for i in range(1, len(chain)):  # one tick per call a recursion would make
                 self._tick(len(self.universe) ** i)
-            noisy = [(i, b.var.name) for i, b in enumerate(binders) if b.noisy][::-1]
+            noisy = [(i, b.var.name) for i, b in enumerate(chain) if b.noisy][::-1]
             out = set()
-            for combo in itertools.product(self.universe, repeat=len(binders)):
-                inner = {**env, **{b.var.id: t for b, t in zip(binders, combo)}}
+            for combo in itertools.product(self.universe, repeat=len(chain)):
+                inner = {**env, **{b.var.id: t for b, t in zip(chain, combo)}}
                 thetas = tuple((name, combo[i]) for i, name in noisy)  # innermost first
                 out |= {ans + thetas for ans in self.prove(goal, inner, depth)}
             return frozenset(out)
         raise TypeError(f"not a goal node: {goal!r}")
 
-    def chain(self, clause: Clause, target: Atom, depth: int) -> frozenset:
+    def chain(self, layers: tuple, core: Clause, target: Atom, depth: int) -> frozenset:
         """Set of noisy-binding lists over the derivations of ``target`` by
-        ``clause``, one per choice of a universe term for each universal that
-        matching the head with ``target`` leaves open, in a loop."""
-        layers, core = [], clause
-        while isinstance(core, Forall):
-            layers.append(core)
-            core = core.inner
+        the clause of universals ``layers`` over ``core``, one per choice of a
+        universe term for each universal that matching the head with
+        ``target`` leaves open, in a loop."""
         self._tick()
         fixed: dict = {}
         if core.head.pred != target.pred or not _match(core.head.args, target.args, fixed):

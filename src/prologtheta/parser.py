@@ -33,7 +33,7 @@ from itertools import groupby
 from typing import Callable, Iterator, Optional
 
 from .terms import Compound, Const, Star, Term, Unknown, Var, fold_term, fresh_var, subterms
-from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule
+from .syntax import Atom, Clause, Conj, Exists, Fact, Forall, Goal, Rule, binders
 
 RESERVED_WORDS = {"module", "unknown", "some", "all", "some*", "all*"}
 
@@ -439,10 +439,8 @@ def format_goal(goal: Goal, var_text: Optional[Callable[[Var], str]] = None) -> 
     if type(goal) is Atom:
         return format_atom(goal, var_text)
     # a binder chain and a rule body's Conj spine are loops: length costs no stack
-    parts = []
-    while type(goal) is Exists:
-        parts.append(f"{'some*' if goal.noisy else 'some'} {goal.var.name} : ")
-        goal = goal.body
+    chain, goal = binders(goal) if type(goal) is Exists else ((), goal)
+    parts = [f"{'some*' if b.noisy else 'some'} {b.var.name} : " for b in chain] if chain else []
     if type(goal) is Conj:
         conjuncts = []
         while type(goal) is Conj:
@@ -459,10 +457,8 @@ def format_goal(goal: Goal, var_text: Optional[Callable[[Var], str]] = None) -> 
 
 
 def format_clause(clause: Clause, var_text: Optional[Callable[[Var], str]] = None) -> str:
-    parts = []
-    while type(clause) is Forall:
-        parts.append(f"{'all*' if clause.noisy else 'all'} {clause.var.name} : ")
-        clause = clause.inner
+    chain, clause = binders(clause) if type(clause) is Forall else ((), clause)
+    parts = [f"{'all*' if b.noisy else 'all'} {b.var.name} : " for b in chain]
     if type(clause) is Fact:
         parts.append(format_atom(clause.head, var_text))
     elif type(clause) is Rule:

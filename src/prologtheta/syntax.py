@@ -4,7 +4,8 @@ Goals are atoms, conjunctions, and existentials; clauses are facts, rules,
 and universals.  A program is a clause list, so a conjunction of clauses
 needs no node of its own.  Quantifier nodes carry a ``noisy`` flag: noisy
 binders (surface ``some*`` / ``all*``) record their instantiation in the
-answer substitution, silent ones do not.
+answer substitution, silent ones do not.  Every pass, the engine's and the
+oracle's too, walks a chain of binders with ``binders``, the one walk.
 
 Raw ASTs coming out of the parser may contain free variables and anonymous
 ``_`` variables.  Desugaring closes them: in clauses they become silent
@@ -84,6 +85,22 @@ class NodeError(TypeError):
 _CLAUSE_NODES = (Fact, Rule, Forall)
 
 
+def binders(node) -> tuple:
+    """The run of ``Forall``s or of ``Exists`` that ``node`` starts with,
+    outermost first, and the node past them, walked in a loop: a closed
+    clause or query has a binder per variable, and many cost no stack."""
+    chain = []
+    if type(node) is Forall:
+        while type(node) is Forall:
+            chain.append(node)
+            node = node.inner
+    else:
+        while type(node) is Exists:
+            chain.append(node)
+            node = node.body
+    return tuple(chain), node
+
+
 def _keep(var: Var, noisy: bool, scope):
     return var, noisy, scope
 
@@ -123,16 +140,13 @@ def _fold(node, in_goal: bool, on_atom, on_binder, scope):
         return Rule(on_atom(node.head, scope), _fold(node.body, True, on_atom, on_binder, scope))
     binder = Exists if in_goal else Forall
     if isinstance(node, binder):
-        # a closed query or clause starts with a chain of binders, one per
-        # variable: walk it in a loop, so that many variables cost no stack
-        chain = []
-        while isinstance(node, binder):
-            var, noisy, scope = on_binder(node.var, node.noisy, scope)
-            chain.append((var, noisy))
-            node = node.body if in_goal else node.inner
-        out = _fold(node, in_goal, on_atom, on_binder, scope)
-        while chain:
-            var, noisy = chain.pop()
+        chain, core = binders(node)
+        kept = []
+        for b in chain:
+            var, noisy, scope = on_binder(b.var, b.noisy, scope)
+            kept.append((var, noisy))
+        out = _fold(core, in_goal, on_atom, on_binder, scope)
+        for var, noisy in reversed(kept):
             out = binder(var, out, noisy)
         return out
     if in_goal and isinstance(node, _CLAUSE_NODES):

@@ -93,6 +93,18 @@ def test_broken_engine_is_caught(monkeypatch):
     assert check_case(case).status == "match"
 
 
+def test_check_reads_strict_answers_off_one_lenient_search(monkeypatch):
+    # strict mode's answers are the lenient search's ground ones, so the
+    # dropped answer X = X is found with no second search
+    calls = []
+    real_solve = fuzz.solve
+    monkeypatch.setattr(fuzz, "solve", lambda *a: calls.append(a) or real_solve(*a))
+    report = check_case(FuzzCase("p(X).\n", "p(a), some* X : p(X)"))
+    assert report.status == "incomplete"
+    assert report.detail == "strict mode dropped a non-ground answer; cannot certify"
+    assert len(calls) == 1
+
+
 def test_broken_twin_is_caught(monkeypatch, capsys):
     """Campaign sanity: a silent twin that loses derivations must produce
     MISMATCH, exit 1."""

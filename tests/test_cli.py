@@ -389,6 +389,16 @@ def test_check_rejects_negative_counts(argv, flag, tmp_path, capsys):
     assert captured.err.startswith(f"error: {flag} must be at least 0")
 
 
+@pytest.mark.parametrize("flag, value", [("--query", "q(zzz, Y)"), ("--module", "missing.plt")])
+def test_check_fuzz_takes_no_query_or_module(flag, value, capsys):
+    # --fuzz generates its own programs and queries, so either would go unused
+    code = main(["check", "--fuzz", "3", "--seed", "1", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --fuzz generates its own cases, so it takes no {flag}\n"
+
+
 # p(b) matches no clause; the q clause and its universals cost no depth
 DEEP_Q = "p(a).\nall X : all Y : all Z : q(X, Y, Z).\n"
 
@@ -596,6 +606,24 @@ def test_fuzz_output_is_byte_deterministic_for_a_seed(tmp_path, cli_env):
     second = _run_cli(args, tmp_path, cli_env)
     assert first.returncode == second.returncode == 0, (first.stderr + second.stderr).decode()
     assert first.stdout == second.stdout
+
+
+def test_a_closed_stdout_exits_2_without_traceback(tmp_path, cli_env):
+    # 20,000 answers are far past a pipe's 64 KiB buffer, so the CLI is
+    # still writing when the reader closes its end
+    module = tmp_path / "f.plt"
+    module.write_text("".join(f"f(c{k}).\n" for k in range(20000)), encoding="utf-8")
+    with subprocess.Popen(
+        [sys.executable, "-m", "prologtheta.cli", "run", "--module", str(module), "--all",
+         "--query", "f(X)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=cli_env,
+    ) as proc:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        code, stderr = proc.wait(timeout=120), proc.stderr.read()
+    assert lines == [b"X = c0\n", b"X = c1\n"]
+    assert code == 2
+    assert b"Traceback" not in stderr
 
 
 def _nested(depth):

@@ -1,13 +1,17 @@
 """Desugaring of free/anonymous variables and well-formedness checking."""
 
+import pytest
+
 from prologtheta.terms import Const, Var, fresh_var
 from prologtheta.syntax import (
     Atom,
+    Conj,
     Exists,
     Fact,
     Forall,
     Rule,
     atom,
+    binders,
     desugar_clause_vars,
     desugar_query_vars,
     silent_twin,
@@ -145,6 +149,58 @@ def test_wellformed_rejects_existential_inside_clause():
     bad = Forall(v, Exists(v, atom("p", v), noisy=False), noisy=False)
     errs = wellformed(bad)
     assert any("existential" in e for e in errs)
+
+
+X, Y = Var("X", 1), Var("Y", 2)
+
+
+@pytest.mark.parametrize("node, errors", [
+    (Forall(X, Exists(Y, atom("p", X), noisy=False), noisy=False),
+     ["existential not allowed in a clause"]),
+    (Exists(X, Forall(Y, Fact(atom("p", X)), noisy=False), noisy=False),
+     ["universal/clause construct not allowed in a goal"]),
+    (Exists(X, Conj(atom("p", X), Fact(atom("p", X))), noisy=False),
+     ["universal/clause construct not allowed in a goal"]),
+    (Rule(atom("p", X), Forall(Y, Fact(atom("p", X)), noisy=False)),
+     ["unbound variable X", "universal/clause construct not allowed in a goal"]),
+], ids=["exists-in-clause", "forall-in-goal", "fact-in-conj", "forall-in-body"])
+def test_wellformed_names_a_misplaced_node(node, errors):
+    assert wellformed(node) == errors
+
+
+def test_binders_of_a_clause_are_its_universals_outermost_first():
+    c = desugar_clause_vars(clause("p(X, Z) :- q(X, Y), r(Y, Z)."))
+    chain, core = binders(c)
+    assert [(type(b), b.var.name) for b in chain] == [(Forall, "X"), (Forall, "Z"), (Forall, "Y")]
+    assert chain[0] is c and type(core) is Rule and core.head.pred == "p"
+
+
+def test_binders_of_a_query_are_its_existentials():
+    goal = parse_query("some X : some* Y : phone(tom, X, Y)")
+    chain, core = binders(goal)
+    assert [(type(b), b.var.name, b.noisy) for b in chain] == [
+        (Exists, "X", False), (Exists, "Y", True)]
+    assert core is chain[1].body and core.pred == "phone"
+
+
+def test_binders_of_an_atom_are_none():
+    a = atom("p", Const("a"))
+    assert binders(a) == ((), a)
+
+
+def test_binders_stop_at_a_rule_whose_body_starts_with_an_existential():
+    rule = Rule(atom("p", X), Exists(Y, atom("q", X, Y), noisy=True))
+    chain, core = binders(Forall(X, rule, noisy=False))
+    assert len(chain) == 1 and core is rule
+
+
+def test_binders_walk_a_chain_of_100000_existentials_in_a_loop():
+    goal = core = atom("p")
+    for i in range(100_000):
+        goal = Exists(Var("X", i), goal, noisy=i % 2 == 0)
+    chain, past = binders(goal)
+    assert len(chain) == 100_000 and past is core
+    assert chain[0] is goal and chain[-1].var.id == 0
 
 
 def test_wellformed_accepts_unknowns():
