@@ -24,7 +24,7 @@ from typing import Optional, TextIO
 from .terms import is_ground
 from .syntax import desugar_query_vars
 from .parser import ParseError, format_term, parse_query
-from .loader import Program, combine, load_path
+from .loader import combine, load_path
 from .engine import (
     EngineError,
     ProofTrace,
@@ -77,27 +77,17 @@ def _want_color(stream: TextIO) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-class _Printer:
-    def __init__(self, out: TextIO):
-        self.out = out
-        self.color = _want_color(out)
-
-    def plain(self, text: str = "") -> None:
-        print(text, file=self.out)
-
-    def bold(self, text: str) -> None:
-        print(f"\x1b[1m{text}\x1b[0m" if self.color else text, file=self.out)
-
-
-def _print_solution(printer: _Printer, solution: Solution, trace: Optional[ProofTrace]) -> None:
-    """The answer's bindings, or ``yes.``, then the proof when ``trace`` is given."""
+def _print_solution(out: TextIO, solution: Solution, trace: Optional[ProofTrace]) -> None:
+    """The answer's bindings, or ``yes.``, in bold on a terminal, then the
+    proof when ``trace`` is given."""
+    bold = "\x1b[1m{}\x1b[0m" if _want_color(out) else "{}"
     if not solution.answer:
-        printer.bold("yes.")
+        print(bold.format("yes."), file=out)
     for shown, (_, term) in zip(display_names(solution.answer), solution.answer):
         marker = "" if is_ground(term) else "  (non-ground)"
-        printer.bold(f"{shown} = {format_term(term)}{marker}")
+        print(bold.format(f"{shown} = {format_term(term)}{marker}"), file=out)
     if trace is not None:
-        printer.plain(format_proof(trace, solution.answer))
+        print(format_proof(trace, solution.answer), file=out)
 
 
 def solution_json(solution: Optional[Solution], status: str) -> dict:
@@ -116,29 +106,6 @@ def solution_json(solution: Optional[Solution], status: str) -> dict:
     return doc
 
 
-# ---------------------------------------------------------------------------
-# Session state shared by batch and REPL evaluation.
-
-
-class SessionState:
-    """The loaded modules, combined once per load, and the query settings."""
-
-    def __init__(self, modules: list[Program], config: SolveConfig):
-        self.modules = modules
-        self.program = combine(modules)
-        self.config = config
-
-    def load(self, path: str) -> None:
-        """Add a module; on a ParseError the session is left as it was."""
-        modules = [*self.modules, load_path(path)]
-        self.program = combine(modules)
-        self.modules = modules
-
-    def start_query(self, text: str) -> SolveSession:
-        goal = desugar_query_vars(parse_query(text))
-        return solve(self.program, goal, self.config)
-
-
 def _config_from_args(args: argparse.Namespace, trace_enabled: bool) -> SolveConfig:
     return SolveConfig(
         groundness_mode=args.groundness,
@@ -154,25 +121,24 @@ def _config_from_args(args: argparse.Namespace, trace_enabled: bool) -> SolveCon
 
 
 def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    printer = _Printer(out)
     as_json = args.format == "json"
     try:
         # only --trace and JSON print a trace, so only they build one
         config = _config_from_args(args, trace_enabled=args.trace or as_json)
-        state = SessionState([load_path(p) for p in args.module], config)
+        program = combine([load_path(p) for p in args.module])
         if not args.query:
             print("error: run needs --query", file=err)
             return 2
-        session = state.start_query(args.query)
+        session = solve(program, desugar_query_vars(parse_query(args.query)), config)
     except (ParseError, EngineError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 
     for sol in session:  # print each solution as the search finds it
         if as_json:
-            printer.plain(json.dumps(solution_json(sol, "success")))
-            continue
-        _print_solution(printer, sol, sol.trace if args.trace else None)
+            print(json.dumps(solution_json(sol, "success")), file=out)
+        else:
+            _print_solution(out, sol, sol.trace if args.trace else None)
     # a cut search says so, also after the answers it found, unless it
     # stopped at --max-solutions before running out of answers
     found, incomplete = session.solutions_found > 0, session.incomplete
@@ -183,7 +149,7 @@ def run_batch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         status = "incomplete" if incomplete else "fail"
         print(json.dumps(solution_json(None, status)), file=out)
     else:
-        printer.plain("incomplete search." if incomplete else "no.")
+        print("incomplete search." if incomplete else "no.", file=out)
     return 0 if found else 3 if incomplete else 1
 
 
@@ -205,25 +171,33 @@ anything else is a query (trailing '.' optional)."""
 
 
 def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) -> int:
-    printer = _Printer(out)
     try:
-        state = SessionState([load_path(p) for p in args.module], _config_from_args(args, False))
+        modules = [load_path(p) for p in args.module]
+        config = _config_from_args(args, False)
+        program = combine(modules)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     show_trace = bool(args.trace)
     active: Optional[SolveSession] = None
 
-    def emit_solution(sol: Solution) -> None:
-        # the search is paused at ``sol``, so its steps are sol's
-        _print_solution(printer, sol, active.search.snapshot() if show_trace else None)
+    def step(none: str) -> None:
+        """Print the active query's next solution, or else ``none`` or the cut and end it."""
+        nonlocal active
+        sol = active.next_solution()
+        if sol is not None:
+            # the search is paused at ``sol``, so its steps are sol's
+            _print_solution(out, sol, active.search.snapshot() if show_trace else None)
+            return
+        print("incomplete search." if active.incomplete else none, file=out)
+        active = None
 
     while True:
         out.write("?- ")
         out.flush()
         line = stdin.readline()
         if not line:
-            printer.plain("")
+            print(file=out)
             return 0
         line = line.strip()
         if not line:
@@ -235,58 +209,46 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
                 if cmd == ":quit":
                     return 0
                 elif cmd == ":help":
-                    printer.plain(_REPL_HELP)
+                    print(_REPL_HELP, file=out)
                 elif cmd == ":load" and len(parts) == 2:
-                    state.load(parts[1])
-                    printer.plain(f"loaded {parts[1]}.")
+                    # a module that fails to load or to combine changes nothing
+                    loaded = [*modules, load_path(parts[1])]
+                    program, modules = combine(loaded), loaded
+                    print(f"loaded {parts[1]}.", file=out)
                 elif cmd == ":trace" and len(parts) == 2 and parts[1] in ("on", "off"):
                     show_trace = parts[1] == "on"
                 elif cmd == ":more":
                     if active is None:
-                        printer.plain("no active query.")
+                        print("no active query.", file=out)
                     else:
-                        sol = active.next_solution()
-                        if sol is None:
-                            if active.incomplete:
-                                printer.plain("incomplete search.")
-                            else:
-                                printer.plain("no more solutions.")
-                            active = None
-                        else:
-                            emit_solution(sol)
+                        step("no more solutions.")
                 elif cmd == ":set" and len(parts) == 3:
                     key, value = parts[1], parts[2]
-                    cfg = state.config
                     if key == "groundness" and value in ("strict", "lenient"):
-                        state.config = replace(cfg, groundness_mode=value)
+                        config = replace(config, groundness_mode=value)
                     elif key == "max_depth":
                         depth = None if value == "unlimited" else int(value)
-                        state.config = replace(cfg, max_depth=depth)
+                        config = replace(config, max_depth=depth)
                     elif key == "max_solutions":
                         count = None if value == "all" else int(value)
-                        state.config = replace(cfg, max_solutions=count)
+                        config = replace(config, max_solutions=count)
                     elif key == "occurs_check" and value in ("on", "off"):
-                        state.config = replace(cfg, occurs_check=value == "on")
+                        config = replace(config, occurs_check=value == "on")
                     else:
-                        printer.plain(f"unknown setting: {key} {value}")
+                        print(f"unknown setting: {key} {value}", file=out)
                 else:
-                    printer.plain(f"unknown command: {line}  (:help for help)")
+                    print(f"unknown command: {line}  (:help for help)", file=out)
             except (ParseError, ValueError, RecursionError) as exc:
                 # RecursionError here comes from loading a module nested too deeply
-                printer.plain(f"error: {exc}")
+                print(f"error: {exc}", file=out)
             continue
         try:
-            active = state.start_query(line)
+            active = solve(program, desugar_query_vars(parse_query(line)), config)
             active.search.may_snapshot = True  # for a `:trace on` before `:more`
-            sol = active.next_solution()
-            if sol is None:
-                printer.plain("incomplete search." if active.incomplete else "no.")
-                active = None
-            else:
-                emit_solution(sol)
+            step("no.")
         except (ParseError, EngineError, RecursionError) as exc:
             # RecursionError here comes from reading a query nested too deeply
-            printer.plain(f"error: {exc}")
+            print(f"error: {exc}", file=out)
             active = None
 
 
@@ -310,19 +272,21 @@ def run_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         for flag, value in (("--query", args.query), ("--module", args.module)):
             if args.fuzz and value:
                 raise ValueError(f"--fuzz generates its own cases, so it takes no {flag}")
+        if args.seed is not None and not args.fuzz:
+            raise ValueError("--seed seeds the cases of --fuzz, so it needs --fuzz")
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 2
     if args.fuzz:
-        total = args.fuzz
-        for i, case, report in fuzz_run(total, args.seed, **kwargs):
+        total, seed = args.fuzz, args.seed or 0
+        for i, case, report in fuzz_run(total, seed, **kwargs):
             if report.status == "match":
                 continue
-            print(f"{report.status.upper()} (case {i}/{total}, seed {args.seed})", file=out)
+            print(f"{report.status.upper()} (case {i}/{total}, seed {seed})", file=out)
             print(str(case), file=out)
             print(report.detail, file=out)
             return 1 if report.status == "mismatch" else 3
-        print(f"MATCH ({total}/{total} cases, seed {args.seed})", file=out)
+        print(f"MATCH ({total}/{total} cases, seed {seed})", file=out)
         return 0
     if not args.query:
         print("error: check needs --query or --fuzz", file=err)
@@ -386,7 +350,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--fuzz", type=int, default=0, metavar="N",
                          help="generate N random cases; check each against the oracle "
                               "and its all-silent twin")
-    check_p.add_argument("--seed", type=int, default=0)
+    check_p.add_argument("--seed", type=int, help="seed of the --fuzz cases (default 0)")
     check_p.add_argument("--universe-depth", type=int, default=0, dest="universe_depth",
                          help="term nesting bound for the oracle universe")
     return top

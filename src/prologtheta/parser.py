@@ -45,7 +45,8 @@ class ParseIssue:
     col: int
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.col}: {self.message}"
+        # lines count from 1, so line 0 marks an issue with no place in the text
+        return f"{self.line}:{self.col}: {self.message}" if self.line else self.message
 
 
 class ParseError(Exception):

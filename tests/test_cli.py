@@ -247,6 +247,52 @@ def test_color_styling_honours_env_and_tty(monkeypatch):
     assert not _want_color(_Tty())
 
 
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_a_terminal_gets_bold_answers_and_plain_proofs_and_status_lines(
+    phone_path, tmp_path, monkeypatch
+):
+    monkeypatch.delenv("PROLOGTHETA_NO_COLOR", raising=False)
+
+    def run(query, *flags):
+        out, err = _Terminal(), _Terminal()
+        args = build_arg_parser().parse_args(
+            ["run", "--module", phone_path, "--query", query, *flags])
+        return run_batch(args, out, err), out.getvalue()
+
+    assert run("some X : some* Y : phone(tom, X, Y)", "--trace") == (0, (
+        "\x1b[1mY = 4450\x1b[0m\n"
+        "1. bc(phone(tom, cs, 4450), phone, phone(tom, cs, 4450), nil)\n"
+        "2. pv(phone, phone(tom, cs, 4450), nil)\n"
+        "3. pv(phone, some* Y : phone(tom, cs, Y), <Y, 4450>)\n"
+        "4. pv(phone, some X : some* Y : phone(tom, X, Y), nil)\n"
+        "answer: {Y = 4450}\n"
+    ))
+    assert run("phone(tom, cs, 4450)") == (0, "\x1b[1myes.\x1b[0m\n")
+    assert run("phone(bob, _, Y)") == (1, "no.\n")
+
+    mod = tmp_path / "pq.plt"
+    mod.write_text("p(a).\np(b).\n", encoding="utf-8")
+    args = build_arg_parser().parse_args(["repl", "--all", "--module", str(mod)])
+    out = _Terminal()
+    script = "p(X).\n:trace on\n:more\n:more\np(c).\n:quit\n"
+    assert run_repl(args, io.StringIO(script), out, out) == 0
+    assert out.getvalue() == (
+        "?- \x1b[1mX = a\x1b[0m\n"
+        "?- ?- \x1b[1mX = b\x1b[0m\n"
+        "1. bc(p(b), pq, p(b), nil)\n"
+        "2. pv(pq, p(b), nil)\n"
+        "3. pv(pq, some* X : p(X), <X, b>)\n"
+        "answer: {X = b}\n"
+        "?- no more solutions.\n"
+        "?- no.\n"
+        "?- "
+    )
+
+
 def test_run_is_the_default_subcommand(phone_path, capsys):
     explicit = main(["run", "--module", phone_path, "--query", "phone(tom, _, Y)"])
     first = capsys.readouterr().out
@@ -322,7 +368,7 @@ def test_repl_failed_load_keeps_the_program_and_queries_do_not_combine(
     # the failed load left the running query and the program as they were
     assert out.split("?- ")[2:7] == [
         "X = a\n",
-        "error: 0:0: in module b: predicate p used with arity 2 after arity 1\n",
+        "error: in module b: predicate p used with arity 2 after arity 1\n",
         "X = b\n",
         "X = a\n",
         "Y = c\n",
@@ -332,7 +378,7 @@ def test_repl_failed_load_keeps_the_program_and_queries_do_not_combine(
     # conflicting modules at start-up are an error, as in run
     code, out = _repl(":quit\n", modules=[str(tmp_path / "a.plt"), str(tmp_path / "b.plt")])
     assert code == 2
-    assert out.startswith("error: 0:0: in module b: predicate p used with arity 2")
+    assert out.startswith("error: in module b: predicate p used with arity 2")
 
 
 @pytest.mark.parametrize("argv", [
@@ -397,6 +443,20 @@ def test_check_fuzz_takes_no_query_or_module(flag, value, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: --fuzz generates its own cases, so it takes no {flag}\n"
+
+
+@pytest.mark.parametrize("seed", ["5", "0"])
+def test_check_takes_a_seed_only_with_fuzz(seed, tmp_path, capsys):
+    mod = tmp_path / "px.plt"
+    mod.write_text("p(X).\n", encoding="utf-8")
+    code = main(["check", "--module", str(mod), "--query", "p(a)", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --seed seeds the cases of --fuzz, so it needs --fuzz\n"
+    # without --seed, --fuzz draws its cases from seed 0
+    assert main(["check", "--fuzz", "5"]) == 0
+    assert capsys.readouterr().out == "MATCH (5/5 cases, seed 0)\n"
 
 
 # p(b) matches no clause; the q clause and its universals cost no depth
@@ -783,7 +843,7 @@ def test_a_module_that_is_not_utf8_is_an_error_without_traceback(
         printed = proc.stderr.decode()
     assert proc.returncode == code, proc.stderr.decode()
     assert b"Traceback" not in proc.stderr
-    assert printed.startswith(f"error: 0:0: cannot read {module}: 'utf-8' codec can't decode")
+    assert printed.startswith(f"error: cannot read {module}: 'utf-8' codec can't decode")
 
 
 def _facts(prefix, n):
