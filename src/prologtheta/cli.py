@@ -226,12 +226,14 @@ def run_repl(args: argparse.Namespace, stdin: TextIO, out: TextIO, err: TextIO) 
                     key, value = parts[1], parts[2]
                     if key == "groundness" and value in ("strict", "lenient"):
                         config = replace(config, groundness_mode=value)
-                    elif key == "max_depth":
-                        depth = None if value == "unlimited" else int(value)
-                        config = replace(config, max_depth=depth)
-                    elif key == "max_solutions":
-                        count = None if value == "all" else int(value)
-                        config = replace(config, max_solutions=count)
+                    elif key in ("max_depth", "max_solutions"):
+                        no_limit = "unlimited" if key == "max_depth" else "all"
+                        try:
+                            limit = None if value == no_limit else int(value)
+                        except ValueError:
+                            raise ValueError(
+                                f"{key} must be a number or {no_limit}, not {value}") from None
+                        config = replace(config, **{key: limit})
                     elif key == "occurs_check" and value in ("on", "off"):
                         config = replace(config, occurs_check=value == "on")
                     else:

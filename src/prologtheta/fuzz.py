@@ -146,6 +146,7 @@ class CheckReport:
     engine_answers: Optional[frozenset] = None
     oracle_answers: Optional[frozenset] = None
     detail: str = ""
+    derivations: int = 0  # of the lenient search, set on a match
 
 
 def _lenient(max_depth: int, occurs_check: bool) -> SolveConfig:
@@ -184,7 +185,7 @@ def differential_check(
     except OracleOverflow as err:
         return CheckReport(status="overflow", engine_answers=engine_answers, detail=str(err))
     if engine_answers == oracle_answers:
-        return CheckReport("match", engine_answers, oracle_answers)
+        return CheckReport("match", engine_answers, oracle_answers, derivations=len(answers))
     # strict mode drops an answer whose noisy witness nothing grounds, which
     # the oracle grounds with each universe term: such sets do not compare
     if len(ground) < len(answers):
@@ -252,24 +253,10 @@ def fuzz_run(n: int, seed: int, *, max_depth: int = 64, universe_depth: int = 0,
         report = differential_check(program, goal, max_depth=max_depth,
                                     universe_depth=universe_depth, occurs_check=occurs_check)
         if report.status == "match":
-            noisy_n, silent_n = erasure_outcomes(program, goal, max_depth=max_depth,
-                                                 occurs_check=occurs_check)
+            twin = replace(program, clauses=tuple(silent_twin(c) for c in program.clauses))
+            session = solve(twin, silent_twin(goal), _lenient(max_depth, occurs_check))
+            noisy_n, silent_n = report.derivations, sum(1 for _ in session)
             if noisy_n != silent_n:
                 report = replace(report, status="mismatch", detail=(
                     f"erasure: {noisy_n} derivations, {silent_n} for the all-silent twin"))
         yield i, case, report
-
-
-def erasure_outcomes(program: Program, goal, *, max_depth: int = 64,
-                     occurs_check: bool = True) -> tuple:
-    """Lenient-mode derivation counts of a program and goal and of their
-    all-silent twin.
-
-    Rewriting every noisy quantifier to its silent version must not change
-    whether or how often a proof exists: the flag only controls recording,
-    so both runs walk the same search tree.
-    """
-    twin_program = replace(program, clauses=tuple(silent_twin(c) for c in program.clauses))
-    config = _lenient(max_depth, occurs_check)
-    return (sum(1 for _ in solve(program, goal, config)),
-            sum(1 for _ in solve(twin_program, silent_twin(goal), config)))

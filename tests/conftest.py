@@ -1,9 +1,12 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from prologtheta import reset_fresh_counters
+from prologtheta import SolveConfig, reset_fresh_counters, solve
+from prologtheta.fuzz import load_case
+from prologtheta.syntax import silent_twin
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,3 +32,20 @@ def cli_env():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop("PYTHONHASHSEED", None)
     return env
+
+
+@pytest.fixture
+def erasure_counts():
+    """A reference for the erasure relation, apart from ``fuzz_run``: the
+    lenient derivation counts of a fuzz case and of its all-silent twin,
+    each from a search of its own."""
+    config = SolveConfig(groundness_mode="lenient", max_depth=64, max_solutions=None,
+                         trace_enabled=False)
+
+    def counts(case):
+        program, goal = load_case(case)
+        twin = replace(program, clauses=tuple(silent_twin(c) for c in program.clauses))
+        return (sum(1 for _ in solve(program, goal, config)),
+                sum(1 for _ in solve(twin, silent_twin(goal), config)))
+
+    return counts

@@ -14,7 +14,7 @@ from prologtheta.syntax import desugar_query_vars
 from prologtheta.parser import format_term, parse_query, parse_term
 from prologtheta.loader import load
 from prologtheta.engine import SolveConfig, solve
-from prologtheta.fuzz import erasure_outcomes, fuzz_run, load_case, random_case
+from prologtheta.fuzz import fuzz_run, random_case
 
 ALL = SolveConfig(max_solutions=None)
 
@@ -77,13 +77,13 @@ def test_criterion_2_emp_module():
     _report(2, f"shared unknown joins, distinct unknowns fail, {elapsed:.3f}s")
 
 
-def test_criterion_3_erasure_property():
+def test_criterion_3_erasure_property(erasure_counts):
     total = 220
     rng = random.Random(1234)
     agreed = 0
     for _ in range(total):
         case = random_case(rng)
-        noisy_n, silent_n = erasure_outcomes(*load_case(case))
+        noisy_n, silent_n = erasure_counts(case)
         assert noisy_n == silent_n, f"erasure broke on:\n{case}"
         agreed += 1
     assert agreed == total

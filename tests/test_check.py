@@ -10,9 +10,7 @@ from prologtheta.fuzz import (
     FuzzCase,
     check_case,
     differential_check,
-    erasure_outcomes,
     fuzz_run,
-    load_case,
     random_case,
 )
 from prologtheta.cli import main
@@ -105,6 +103,19 @@ def test_check_reads_strict_answers_off_one_lenient_search(monkeypatch):
     assert len(calls) == 1
 
 
+def test_campaign_solves_a_matching_case_and_its_twin_once_each(monkeypatch):
+    # the erasure relation reads the case's count off its lenient search,
+    # so a matching case takes two searches: its own and its twin's
+    calls = []
+    real_solve = fuzz.solve
+    monkeypatch.setattr(fuzz, "solve", lambda *a: calls.append(a) or real_solve(*a))
+    monkeypatch.setattr(fuzz, "random_case",
+                        lambda rng: FuzzCase("p(a).\np(b).\n", "some* X : p(X)"))
+    [(_, _, report)] = fuzz_run(1, seed=0)
+    assert len(calls) == 2
+    assert report.status == "match" and report.derivations == 2
+
+
 def test_broken_twin_is_caught(monkeypatch, capsys):
     """Campaign sanity: a silent twin that loses derivations must produce
     MISMATCH, exit 1."""
@@ -155,18 +166,15 @@ def test_check_collects_every_derivation(tmp_path, capsys):
     assert capsys.readouterr().out == "MATCH\n"
 
 
-def test_erasure_outcomes_agree_on_sample():
-    rng = random.Random(23)
-    for _ in range(80):
+@pytest.mark.parametrize("seed, cases", [(23, 80), (29, 40)])
+def test_silent_twin_keeps_the_derivation_count(seed, cases, erasure_counts):
+    # the twin walks the same search tree, so derivations match one to one,
+    # and a matching case's report carries the count of its own search
+    rng = random.Random(seed)
+    for _ in range(cases):
         case = random_case(rng)
-        noisy_n, silent_n = erasure_outcomes(*load_case(case))
+        noisy_n, silent_n = erasure_counts(case)
         assert noisy_n == silent_n, str(case)
-
-
-def test_erasure_preserves_the_whole_derivation_count():
-    # the twin walks the same search tree, so derivations match one to one
-    rng = random.Random(29)
-    for _ in range(40):
-        case = random_case(rng)
-        noisy_n, silent_n = erasure_outcomes(*load_case(case))
-        assert noisy_n == silent_n, str(case)
+        report = check_case(case)
+        if report.status == "match":
+            assert report.derivations == noisy_n, str(case)

@@ -421,6 +421,22 @@ def test_repl_rejects_max_depth_below_one_and_keeps_the_setting(tmp_path):
     ]
 
 
+def test_repl_rejects_a_limit_that_is_not_a_number_and_keeps_the_setting(tmp_path):
+    mod = tmp_path / "m.plt"
+    mod.write_text("p(X) :- q(X).\nq(X) :- r(X).\nr(X) :- s(X).\ns(a).\nt(a).\nt(b).\n",
+                   encoding="utf-8")
+    # s is called at depth 4, past a limit of 3, and t answers once
+    script = (":set max_depth 3\n:set max_depth x\n:set max_solutions 1\n"
+              ":set max_solutions y\np(X).\nt(X).\n:more\n:quit\n")
+    code, out = _repl(script, modules=[str(mod)])
+    assert code == 0
+    assert out.split("?- ")[2:] == [
+        "error: max_depth must be a number or unlimited, not x\n", "",
+        "error: max_solutions must be a number or all, not y\n", "incomplete search.\n",
+        "X = a\n", "no more solutions.\n", "",
+    ]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["check", "--fuzz", "-5", "--seed", "1"], "--fuzz"),
     (["check", "--query", "some* X : p(X)", "--universe-depth", "-1"], "--universe-depth"),
