@@ -49,7 +49,6 @@ from .loader import Program, combine, load, load_path, skolemize
 from .engine import (
     EngineError,
     ProofSearch,
-    ProofStep,
     ProofTrace,
     Solution,
     SolveConfig,

@@ -23,8 +23,8 @@ once, and its pv steps hold their goals as ``_Layer``s, as a clause try's
 bc steps hold its layers.  A search that nothing may snapshot keeps as
 steps only the bindings of noisy ``some*`` binders and ``all*``
 universals, as its answer reads nothing else.  A trace holds the raw steps
-and the bindings at its solution: it is printed from them, and resolved
-only when its ``steps`` are read.
+and the bindings at its solution, and is read only as ``step_texts``
+prints it.
 
 The nondeterministic choice of an instantiation term is realized by logic
 variables, unification, and chronological backtracking over a trail.
@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from types import SimpleNamespace
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .terms import Compound, Const, Term, Unknown, Var, fresh_var, is_ground, occurs
 from .terms import resolve_term, unify_into, walk_shallow
@@ -81,49 +81,14 @@ Theta = tuple[str, Term]
 DEPTH_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    """One inference: ``bc`` decomposes a clause, ``pv`` reduces a goal.
-
-    ``focus`` is the clause being decomposed for bc steps and the program
-    for pv steps.  ``theta`` is the recorded binding and is present exactly
-    when the step instantiated a noisy quantifier.  ``ProofTrace.steps``
-    builds these from the raw steps and bindings; they may share nodes.
-    """
-
-    index: int
-    kind: str  # "bc" | "pv"
-    focus: Union[Clause, Program]
-    goal: Union[Goal, Atom]
-    theta: Optional[Theta]
-
-
 @dataclass(frozen=True, eq=False)
 class ProofTrace:
     """The raw steps of a proof, ``(kind, focus, goal, theta)`` over unresolved
-    terms, and a copy of the bindings at its solution; ``steps`` is a view of
-    them resolved on first read."""
+    terms, and a copy of the bindings at its solution: ``step_texts`` prints
+    them."""
 
     raw_steps: tuple[tuple, ...]
     bindings: dict[int, Term]
-
-    @cached_property
-    def steps(self) -> tuple[ProofStep, ...]:
-        """Each binding chain resolved once, and each node shared by steps once."""
-        resolve, nodes = partial(resolve_term, bindings=self.bindings, memo={}), {}
-
-        def node(goal):  # steps are premise first: a conjunct comes before its Conj
-            if id(goal) not in nodes:
-                nodes[id(goal)] = (
-                    Conj(node(goal.left), node(goal.right)) if type(goal) is Conj
-                    else map_terms(goal.build() if type(goal) is _Layer else goal, resolve))
-            return nodes[id(goal)]
-
-        return tuple(
-            ProofStep(i, kind, map_terms(focus.build(), resolve) if type(focus) is _Layer else focus,
-                      node(goal), None if theta is None else (theta[0], resolve(theta[1])))
-            for i, (kind, focus, goal, theta) in enumerate(self.raw_steps, 1)
-        )
 
 
 @dataclass(frozen=True)
@@ -141,8 +106,7 @@ class Solution:
 class _Layer:
     """Layer ``depth`` of a binder chain, a clause's universals or a query's
     existentials (the core past the last one), with only the outer binders
-    renamed to their witnesses: a bc step's focus or a pv step's goal, or
-    a chain's renamed core."""
+    renamed to their witnesses: a bc step's focus or a pv step's goal."""
 
     __slots__ = ("template", "witnesses", "depth")
 
@@ -153,10 +117,6 @@ class _Layer:
         chain, core = self.template
         renaming = {binder.var.id: w for binder, w in zip(chain[: self.depth], self.witnesses)}
         return chain[self.depth] if self.depth < len(chain) else core, renaming
-
-    def build(self):  # no witness holds a binder of its chain: no chain goes past one link
-        node, renaming = self.parts()
-        return map_terms(node, partial(resolve_term, bindings=renaming))
 
 
 class _Compiled(SimpleNamespace):
@@ -172,8 +132,9 @@ class _Compiled(SimpleNamespace):
             slots = {layer.var.id: i for i, layer in enumerate(layers[:depth])}
             shown = format_clause(layers[depth] if depth < len(layers) else core,
                                   lambda v: f"\0{slots[v.id]}\0" if v.id in slots else v.name)
-            self.shown[depth] = pieces = shown.split("\0")
+            pieces = shown.split("\0")
             pieces[1::2] = map(int, pieces[1::2])  # the marks: slots
+            self.shown[depth] = pieces  # whole: sessions of a program share it
         return "".join([var_text(w[p]) if type(p) is int else p for p in pieces])
 
 
@@ -429,7 +390,9 @@ class ProofSearch:
                             group.append(theta)
                     if group:
                         cont = (None, group, cont)
-                    cont = (_Layer(template, witnesses, len(chain)).build(), depth, cont)
+                    # no witness holds a binder of its chain: no chain goes past one link
+                    renaming = {b.var.id: w for b, w in zip(chain, witnesses)}
+                    cont = (map_terms(goal, partial(resolve_term, bindings=renaming)), depth, cont)
                     continue
                 if depth > limit:
                     self.depth_clipped = True
@@ -510,8 +473,8 @@ class SolveSession:
             if answer is None:
                 continue  # non-ground noisy witness: reject and backtrack
             trace = search.snapshot() if config.trace_enabled else None
-            yield Solution(answer=answer, trace=trace)
             self.solutions_found += 1
+            yield Solution(answer=answer, trace=trace)
             if config.max_solutions is not None and self.solutions_found >= config.max_solutions:
                 return
 

@@ -11,9 +11,9 @@ import time
 
 from prologtheta.terms import Compound, Const, Unknown, Var, is_ground
 from prologtheta.syntax import desugar_query_vars
-from prologtheta.parser import format_term, parse_query, parse_term
+from prologtheta.parser import format_clause, format_term, parse_query, parse_term
 from prologtheta.loader import load
-from prologtheta.engine import SolveConfig, solve
+from prologtheta.engine import SolveConfig, solve, step_texts
 from prologtheta.fuzz import fuzz_run, random_case
 
 ALL = SolveConfig(max_solutions=None)
@@ -44,12 +44,12 @@ def test_criterion_1_phone_golden():
     assert [(n, format_term(t)) for n, t in sol.answer] == [("Y", "4450")]
     assert all(n != "X" for n, _ in sol.answer)
 
-    steps = sol.trace.steps
-    assert [s.kind for s in steps] == ["bc", "pv", "pv", "pv"]
-    assert steps[0].focus == prog.clauses[0]  # step 1: backchain leaf
-    assert steps[3].goal == goal  # step 4: the full query
-    assert steps[3].theta is None
-    assert steps[2].theta == ("Y", Const("4450"))
+    steps = list(step_texts(sol.trace))
+    assert [step[1] for step in steps] == ["bc", "pv", "pv", "pv"]
+    assert steps[0][3] == format_clause(prog.clauses[0])  # step 1: backchain leaf
+    assert steps[3][2] is goal  # step 4: the full query
+    assert steps[3][5] is None
+    assert steps[2][5] == ("Y", "4450")
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
     _report(1, f"golden phone query, 4-step trace, {elapsed:.3f}s")
@@ -122,9 +122,8 @@ def test_criterion_6_noisy_universal_recording():
     sols = list(solve(prog, goal, ALL))
     assert len(sols) == 1
     assert sols[0].answer == (("X", Const("a")),)
-    recorded = [s for s in sols[0].trace.steps if s.theta is not None]
-    assert len(recorded) == 1
-    assert recorded[0].theta == ("X", Const("a"))
+    recorded = [theta for *_, theta in step_texts(sols[0].trace) if theta is not None]
+    assert recorded == [("X", "a")]
     _report(6, "noisy universal recorded <X, a> in exactly one step")
 
 

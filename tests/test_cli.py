@@ -8,7 +8,6 @@ import sys
 import jsonschema
 import pytest
 
-from prologtheta import SolveConfig, desugar_query_vars, engine, load, parse_query, solve
 from prologtheta.cli import TRACE_SCHEMA, build_arg_parser, main, run_batch, run_repl
 from prologtheta.engine import ProofSearch, SolveSession
 
@@ -573,35 +572,6 @@ def test_repl_more_reports_the_depth_limit_after_the_last_answer(tmp_path):
         "X = z\n", "X = s(z)\n", "X = s(s(z))\n", "incomplete search.\n",
         "no active query.\n",
     ]
-
-
-GOLDEN_PATH = """
-edge(a, b). edge(b, c). edge(c, d). edge(b, d).
-path(X, Y) :- edge(X, Y).
-path(X, Z) :- edge(X, Y), path(Y, Z).
-"""
-
-
-def test_printing_traces_builds_no_resolved_steps(tmp_path, capsys, monkeypatch):
-    # run prints each trace from its raw steps and bindings; only reading
-    # ``trace.steps`` resolves them into ProofSteps
-    mod = tmp_path / "path.plt"
-    mod.write_text(GOLDEN_PATH, encoding="utf-8")
-    built = []
-    real = engine.ProofStep
-
-    def counted(*args, **kwargs):
-        built.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "ProofStep", counted)
-    for shown in (["--format", "json"], ["--trace"]):
-        assert main(["run", "--module", str(mod), "--query", "path(a, Y)", "--all", *shown]) == 0
-        assert "edge(a, b)" in capsys.readouterr().out  # a trace, not only answers
-    assert built == []
-    goal = desugar_query_vars(parse_query("path(a, Y)"))
-    sol = solve(load(GOLDEN_PATH), goal, SolveConfig()).next_solution()
-    assert len(sol.trace.steps) == len(built) > 0
 
 
 REPL_RULES = "q(a).\nq(b).\nq(c).\np(X) :- q(X).\n"

@@ -14,6 +14,8 @@ def test_readme_library_example_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
-    first = out.getvalue().splitlines()[0]
+    lines = out.getvalue().splitlines()
     # the answer the example prints is the one its comment shows
-    assert f"# {first}\n" in block
+    assert f"# {lines[0]}\n" in block
+    # and its trace ends with that answer
+    assert lines[-1] == "answer: {Y = 4450}"

@@ -11,22 +11,20 @@ from prologtheta.terms import Compound, Const, Var, is_ground, reset_fresh_count
 from prologtheta.syntax import (
     Atom,
     Conj,
-    Exists,
-    Forall,
     desugar_query_vars,
     iter_atoms,
     map_terms,
 )
-from prologtheta.parser import format_goal, format_term, parse_query
-from prologtheta.loader import Program, load
+from prologtheta.parser import format_clause, format_goal, format_term, parse_query
+from prologtheta.loader import load
 from prologtheta.cli import solution_json
 from prologtheta.engine import (
     EngineError,
     ProofSearch,
-    ProofStep,
     SolveConfig,
     format_proof,
     solve,
+    step_texts,
 )
 
 ALL = SolveConfig(max_solutions=None)
@@ -43,32 +41,27 @@ def answers(session):
 
 
 def validate_trace(program, goal, trace):
-    """Structural replay checks on a trace; an empty list means it passes."""
-    problems = []
-    if not trace.steps:
+    """Structural replay checks on a trace as it is printed; an empty list
+    means it passes."""
+    steps = list(step_texts(trace))
+    if not steps:
         return ["empty trace"]
-    root = trace.steps[-1]
-    if root.kind != "pv":
+    problems = []
+    _, kind, root_goal, focus, _, _ = steps[-1]
+    if kind != "pv":
         problems.append("root step is not a goal-reduction step")
-    if not (isinstance(root.focus, Program) and root.focus is program):
+    if focus != program.name:
         problems.append("root step does not carry the program")
-    if root.goal != goal:
+    if root_goal is not goal:
         problems.append("root step does not carry the original goal")
-    for i, step in enumerate(trace.steps, 1):
-        if step.index != i:
-            problems.append(f"step {i} has index {step.index}")
-        noisy_site = (
-            step.kind == "pv"
-            and isinstance(step.goal, Exists)
-            and step.goal.noisy
-        ) or (
-            step.kind == "bc"
-            and isinstance(step.focus, Forall)
-            and step.focus.noisy
-        )
-        if noisy_site and step.theta is None:
+    for i, (index, kind, _, focus, text, theta) in enumerate(steps, 1):
+        if index != i:
+            problems.append(f"step {i} has index {index}")
+        # a noisy binder's layer, or a noisy universal's
+        noisy_site = text.startswith("some* ") if kind == "pv" else focus.startswith("all* ")
+        if noisy_site and theta is None:
             problems.append(f"step {i} should record a binding")
-        if not noisy_site and step.theta is not None:
+        if not noisy_site and theta is not None:
             problems.append(f"step {i} records a binding it should not")
     return problems
 
@@ -86,21 +79,17 @@ def test_phone_example_answer_and_trace_shape():
     sol = sols[0]
     assert [(n, format_term(t)) for n, t in sol.answer] == [("Y", "4450")]
 
-    steps = sol.trace.steps
-    assert [s.kind for s in steps] == ["bc", "pv", "pv", "pv"]
-    assert [s.index for s in steps] == [1, 2, 3, 4]
+    steps = list(step_texts(sol.trace))
+    assert [step[:2] for step in steps] == [(1, "bc"), (2, "pv"), (3, "pv"), (4, "pv")]
     # leaf: the fact matches the fully instantiated atom
-    assert steps[0].focus == prog.clauses[0]
-    assert format_goal(steps[0].goal) == "phone(tom, cs, 4450)"
-    assert steps[0].theta is None
+    assert steps[0][3:] == (format_clause(prog.clauses[0]), "phone(tom, cs, 4450)", None)
     # goal reduction of the atom
-    assert format_goal(steps[1].goal) == "phone(tom, cs, 4450)"
+    assert steps[1][3:] == ("phone", "phone(tom, cs, 4450)", None)
     # the noisy binder records its witness, one step below the root
-    assert format_goal(steps[2].goal) == "some* Y : phone(tom, cs, Y)"
-    assert steps[2].theta == ("Y", Const("4450"))
+    assert steps[2][4:] == ("some* Y : phone(tom, cs, Y)", ("Y", "4450"))
     # root: original goal, nothing recorded
-    assert steps[3].goal == goal
-    assert steps[3].theta is None
+    assert steps[3][2] is goal
+    assert steps[3][5] is None
     assert validate_trace(prog, goal, sol.trace) == []
 
 
@@ -116,7 +105,7 @@ def test_anonymous_variable_query_matches_rewritten_form():
     sols = list(session)
     assert len(sols) == 1
     assert [(n, format_term(t)) for n, t in sols[0].answer] == [("Y", "4450")]
-    assert [s.kind for s in sols[0].trace.steps] == ["bc", "pv", "pv", "pv"]
+    assert [step[1] for step in step_texts(sols[0].trace)] == ["bc", "pv", "pv", "pv"]
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +162,11 @@ def test_rule_bodies_run_against_the_whole_program():
 def test_conjunction_proves_left_then_right():
     prog, goal, session = ask("a.\nb.", "a, b")
     sol = next(iter(session))
-    atom_goals = [s.goal.pred for s in sol.trace.steps if isinstance(s.goal, Atom)]
+    steps = list(step_texts(sol.trace))
+    atom_goals = [goal.pred for _, _, goal, *_ in steps if isinstance(goal, Atom)]
     assert atom_goals == ["a", "a", "b", "b"]  # bc+pv for a, then for b
-    conj_steps = [s for s in sol.trace.steps if isinstance(s.goal, Conj)]
-    assert len(conj_steps) == 1 and conj_steps[0].theta is None
+    conj_steps = [step for step in steps if isinstance(step[2], Conj)]
+    assert len(conj_steps) == 1 and conj_steps[0][5] is None
 
 
 def test_noisy_universal_records_instantiation():
@@ -184,10 +174,10 @@ def test_noisy_universal_records_instantiation():
     sols = list(session)
     assert len(sols) == 1
     assert sols[0].answer == (("X", Const("a")),)
-    recorded = [s for s in sols[0].trace.steps if s.theta is not None]
+    recorded = [step for step in step_texts(sols[0].trace) if step[5] is not None]
     assert len(recorded) == 1
-    assert recorded[0].kind == "bc"
-    assert isinstance(recorded[0].focus, Forall) and recorded[0].focus.noisy
+    _, kind, _, focus, _, theta = recorded[0]
+    assert (kind, focus, theta) == ("bc", "all* X : p(X) :- q(X)", ("X", "a"))
     assert validate_trace(prog, goal, sols[0].trace) == []
 
 
@@ -521,8 +511,8 @@ def test_answer_matches_nonnil_theta_steps(monkeypatch):
                 prog, goal, sols = all_solutions(case, **settings)
                 for sol in sols:
                     checked += 1
-                    recorded = [s.theta for s in sol.trace.steps if s.theta is not None]
-                    assert list(sol.answer) == recorded
+                    recorded = [theta for *_, theta in step_texts(sol.trace) if theta]
+                    assert [(n, format_term(t)) for n, t in sol.answer] == recorded
                     assert validate_trace(prog, goal, sol.trace) == []
                 with monkeypatch.context() as m:
                     m.setattr(ProofSearch, "snapshot", untraced_never_snapshots)
@@ -536,16 +526,17 @@ def test_cyclic_witness_answer_matches_its_recorded_binding():
     config = SolveConfig(groundness_mode="lenient", occurs_check=False)
     _, _, session = ask("all X : loop(X, f(X)).", "some* Y : loop(Y, Y)", config)
     sol = session.next_solution()
-    (theta,) = [s.theta for s in sol.trace.steps if s.theta is not None]
-    assert format_term(theta[1]) == "f(Y)"
-    assert sol.answer == (theta,)
+    (theta,) = [theta for *_, theta in step_texts(sol.trace) if theta]
+    assert theta == ("Y", "f(Y)")
+    assert [(n, format_term(t)) for n, t in sol.answer] == [theta]
 
 
-def reference_steps(search):
-    """The steps of a paused search each resolved on their own, through the
-    recursive resolver with a per-branch cycle guard: what ``snapshot``
-    must equal although it resolves each binding chain and node once."""
-    bindings = search.bindings
+def reference_texts(trace):
+    """The steps of a trace as ``step_texts`` gives them, each printed on its
+    own: its terms resolved through the recursive resolver with a per-branch
+    cycle guard, then formatted.  ``step_texts`` prints each node and each
+    binding chain once, so this is what it must equal."""
+    bindings = trace.bindings
 
     def resolve(term, path=frozenset()):
         if isinstance(term, Var):
@@ -557,16 +548,14 @@ def reference_steps(search):
             return Compound(term.functor, tuple(resolve(a, path) for a in term.args))
         return term
 
+    def printed(node, fmt):  # a layer's outer binders renamed to their witnesses
+        node, renaming = node.parts() if hasattr(node, "parts") else (node, {})
+        return fmt(node, lambda v: format_term(resolve(renaming.get(v.id, v))))
+
     return [
-        ProofStep(
-            index=i,
-            kind=kind,
-            focus=focus if isinstance(focus, Program)
-            else map_terms(focus.build() if hasattr(focus, "build") else focus, resolve),
-            goal=map_terms(goal.build() if hasattr(goal, "build") else goal, resolve),
-            theta=None if theta is None else (theta[0], resolve(theta[1])),
-        )
-        for i, (kind, focus, goal, theta) in enumerate(search.steps, 1)
+        (i, kind, goal, focus.name if kind == "pv" else printed(focus, format_clause),
+         printed(goal, format_goal), theta and (theta[0], format_term(resolve(theta[1]))))
+        for i, (kind, focus, goal, theta) in enumerate(trace.raw_steps, 1)
     ]
 
 
@@ -589,10 +578,8 @@ def test_snapshot_resolves_a_cycle_from_where_each_step_enters_it(program, query
     config = SolveConfig(groundness_mode="lenient", occurs_check=False)
     _, _, session = ask(program, query, config)
     sol = session.next_solution()
-    assert [f"<{s.theta[0]}, {format_term(s.theta[1])}>"
-            for s in sol.trace.steps if s.theta] == thetas
-    assert list(session.search.snapshot().steps) == reference_steps(session.search)
-    assert list(sol.trace.steps) == reference_steps(session.search)
+    assert [f"<{theta[0]}, {theta[1]}>" for *_, theta in step_texts(sol.trace) if theta] == thetas
+    assert list(step_texts(sol.trace)) == reference_texts(sol.trace)
 
 
 def test_snapshot_matches_the_reference_over_many_searches():
@@ -607,31 +594,34 @@ def test_snapshot_matches_the_reference_over_many_searches():
             config = SolveConfig(groundness_mode="lenient", occurs_check=occurs_check)
             search = solve(prog, goal, config).search
             for _ in search.prove(goal):
-                assert list(search.snapshot().steps) == reference_steps(search)
+                trace = search.snapshot()
+                assert list(step_texts(trace)) == reference_texts(trace)
                 checked += 1
     assert checked > 100
 
 
 def test_steps_share_their_resolved_nodes():
-    prog, _, session = ask("phone(tom, cs, 4450).", "some X : some* Y : phone(tom, X, Y)")
-    steps = session.next_solution().trace.steps
-    assert steps[0].focus is prog.clauses[0]  # a program clause, not a copy
-    assert steps[0].goal is steps[1].goal
+    # a step's raw goal is the node its search proved: a call's bc and pv
+    # steps hold one atom, and a conjunction holds its conjuncts' goals
+    _, _, session = ask("phone(tom, cs, 4450).", "some X : some* Y : phone(tom, X, Y)")
+    steps = list(step_texts(session.next_solution().trace))
+    assert steps[0][2] is steps[1][2]
     prog, _, session = ask(PATH, "path(n0, Y)")
+    clauses = {format_clause(c) for c in prog.clauses}
     for sol in session:
-        steps = sol.trace.steps
+        steps = list(step_texts(sol.trace))
         seen = set()
-        for i, step in enumerate(steps):
-            if step.kind == "bc":
+        for i, (_, kind, goal, focus, _, _) in enumerate(steps):
+            if kind == "bc":
                 # a call's bc steps, innermost layer first, come just before
                 # its pv step, all on one goal; the last is the program's clause
-                pv = next(s for s in steps[i:] if s.kind == "pv")
-                assert step.goal is pv.goal
+                pv = next(s for s in steps[i:] if s[1] == "pv")
+                assert goal is pv[2]
                 if steps[i + 1] is pv:
-                    assert any(step.focus is c for c in prog.clauses)
-            if isinstance(step.goal, Conj):  # its conjuncts are earlier steps' goals
-                assert id(step.goal.left) in seen and id(step.goal.right) in seen
-            seen.add(id(step.goal))
+                    assert focus in clauses
+            if isinstance(goal, Conj):  # its conjuncts are earlier steps' goals
+                assert id(goal.left) in seen and id(goal.right) in seen
+            seen.add(id(goal))
 
 
 def test_nat_gives_its_first_thousand_answers_untraced():
@@ -697,6 +687,14 @@ def test_trace_can_be_disabled():
     sol = next(iter(session))
     assert sol.trace is None
     assert sol.answer == (("X", Const("a")),)
+
+
+def test_solutions_found_counts_a_solution_as_it_is_returned():
+    _, _, session = ask("q(a).\nq(b).", "q(X)")
+    counts = []
+    while session.next_solution() is not None:
+        counts.append(session.solutions_found)
+    assert counts == [1, 2] and session.solutions_found == 2
 
 
 def test_unclosed_goal_is_rejected():
@@ -1016,6 +1014,23 @@ def test_each_clause_layer_is_formatted_once_per_program(monkeypatch):
     assert len(calls) == 46
 
 
+def test_a_clause_layer_is_cached_only_once_its_marks_are_slots():
+    # every session of a program reads a clause's cached texts, so one
+    # stored half made would print a slot number in place of a witness
+    class Whole(dict):
+        def __setitem__(self, depth, pieces):
+            assert all(type(p) is int for p in pieces[1::2]), pieces
+            super().__setitem__(depth, pieces)
+
+    prog = load("all* X : p(X) :- q(X).\nq(b).", name="m")
+    goal = desugar_query_vars(parse_query("p(b)"))
+    list(solve(prog, goal, SolveConfig(trace_enabled=False)))  # compiles, prints nothing
+    for code in prog.compiled.values():
+        code.shown = Whole()
+    sol = solve(prog, goal, SolveConfig()).next_solution()
+    assert "bc(p(b) :- q(b), m, p(b), nil)" in format_proof(sol.trace, sol.answer)
+
+
 def test_a_clause_layer_prints_its_inner_binders_by_name():
     # after a reset, a fresh witness may reuse the id of the binder Y, which prints by name
     prog = load("p(X) :- q(X, Y).\nq(a, b).\n")
@@ -1177,9 +1192,8 @@ def test_a_traced_binder_chain_is_renamed_once(monkeypatch):
     next(search.prove(goal))
     assert len(renamed) == 1  # the chain's body, once for all 300 binders
     # each binder keeps its pv step, innermost first, its outer binders renamed
-    pv = [step for step in search.snapshot().steps if isinstance(step.goal, Exists)]
-    assert [step.theta[0] for step in pv] == [f"Y{i}" for i in range(299, -1, -1)]
-    assert pv[-1].goal == goal
-    assert format_goal(pv[-2].goal).startswith("some* Y1 : some* Y2 : ")
-    assert format_goal(pv[-2].goal).endswith(": p(c0, Y1, Y2, " + ", ".join(
-        f"Y{i}" for i in range(3, 300)) + ")")
+    pv = [step for step in step_texts(search.snapshot()) if step[4].startswith("some")]
+    assert [step[5][0] for step in pv] == [f"Y{i}" for i in range(299, -1, -1)]
+    assert pv[-1][2] is goal
+    assert pv[-2][4].startswith("some* Y1 : some* Y2 : ")
+    assert pv[-2][4].endswith(": p(c0, Y1, Y2, " + ", ".join(f"Y{i}" for i in range(3, 300)) + ")")
