@@ -19,9 +19,9 @@ carries a binding exactly when it instantiated a noisy quantifier.  Steps
 are emitted in premise-first order, so step 1 is the deepest leaf and the
 last step is the root judgment on the whole query; this is the order in
 which traces are displayed.  A chain of ``some`` binders is renamed at
-once, and its pv steps hold their goals as ``_Layer``s, as a clause try's
-bc steps hold its layers.  A search that nothing may snapshot keeps as
-steps only the bindings of noisy ``some*`` binders and ``all*``
+once, and its pv steps hold their goals as ``_Layer``s; a clause try's bc
+steps hold its code and witnesses.  A search that nothing may snapshot
+keeps as steps only the bindings of noisy ``some*`` binders and ``all*``
 universals, as its answer reads nothing else.  A trace holds the raw steps
 and the bindings at its solution, and is read only as ``step_texts``
 prints it.
@@ -30,8 +30,8 @@ The nondeterministic choice of an instantiation term is realized by logic
 variables, unification, and chronological backtracking over a trail.
 Clause alternatives are tried in textual order, which makes search
 deterministic and Prolog-like: depth first, left to right, first clause
-first.  A program's first search builds its first-argument index, which
-offers an atom the clauses of its predicate that may match it.
+first.  A program's first search builds its index, its one clause table,
+which offers an atom the clauses of its predicate that may match it.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ class Solution:
 
 
 class _Layer:
-    """Layer ``depth`` of a binder chain, a clause's universals or a query's
-    existentials (the core past the last one), with only the outer binders
-    renamed to their witnesses: a bc step's focus or a pv step's goal."""
+    """Layer ``depth`` of a query's chain of existentials (the core past the
+    last one), with only the outer binders renamed to their witnesses: a pv
+    step's goal."""
 
     __slots__ = ("template", "witnesses", "depth")
 
@@ -238,14 +238,14 @@ def _linked(name: str, term: Term, b: dict, t: list) -> Var:
     return v
 
 
-def _compile(clause: Clause) -> _Compiled:
-    """Slot i is the i-th universal (``names``), outermost first, ``noisy``
-    holds the noisy ones' (slot, name), innermost first, and ``fresh`` those
-    of the ones absent from the head.  A try calls ``match(args, w, bindings,
-    trail, oc, head)``, which sets the head's slots of ``w``, then ``build(w,
-    body)``, None for a fact; ``head`` and ``body`` are the constants,
-    ``sources`` the sources."""
-    layers, core = template = binders(clause)
+def _compile(template: tuple) -> _Compiled:
+    """A clause's ``(layers, core)``: slot i is the i-th universal (``names``),
+    outermost first, ``noisy`` holds the noisy ones' (slot, name), innermost
+    first, and ``fresh`` those of the ones absent from the head.  A try calls
+    ``match(args, w, bindings, trail, oc, head)``, which sets the head's slots
+    of ``w``, then ``build(w, body)``, None for a fact; ``head`` and ``body``
+    are the constants, ``sources`` the sources."""
+    layers, core = template
     slots = {layer.var.id: i for i, layer in enumerate(layers)}
     match, head, match_source, met = _generated(
         ("match", len(core.head.args)), core.head.args, slots)
@@ -271,21 +271,29 @@ def _key(term: Term):
     return (Unknown, term.id) if kind is Unknown else None
 
 
+@dataclass(slots=True, eq=False)
+class _Entry:
+    """A clause's ``(layers, core)``, and its code, None until its first try."""
+
+    template: tuple
+    code: Optional[_Compiled] = None
+
+
 def _index(clauses: Sequence[Clause]) -> dict:
     """Per predicate ``(every, by_key, wild)``: its clauses as ``(position,
-    clause)`` pairs in textual order, those of each first-argument key, and
-    the variable-headed ones.  None of them changes once built."""
+    entry)`` pairs in textual order, those of each first-argument key, and
+    the variable-headed ones.  No list changes once built."""
     index: dict[str, tuple] = defaultdict(lambda: ([], {}, []))
-    for pair in enumerate(clauses):
-        core = binders(pair[1])[1]
-        every, by_key, wild = index[core.head.pred]
-        key = _key(core.head.args[0]) if core.head.args else None
+    for pair in enumerate(_Entry(binders(clause)) for clause in clauses):
+        head = pair[1].template[1].head
+        every, by_key, wild = index[head.pred]
+        key = _key(head.args[0]) if head.args else None
         (wild if key is None else by_key.setdefault(key, [])).append(pair)
         every.append(pair)
     return index
 
 
-_NO_CLAUSES = ((), {}, ())  # the index entry of a predicate with no clauses
+_NO_CLAUSES = ((), {}, ())  # the index's lists for a predicate with no clauses
 
 
 class ProofSearch:
@@ -310,8 +318,8 @@ class ProofSearch:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def candidates(self, goal: Atom) -> Sequence[tuple[int, Clause]]:
-        """The ``(position, clause)`` pairs of the clauses of ``goal``'s
+    def candidates(self, goal: Atom) -> Sequence[tuple[int, _Entry]]:
+        """The ``(position, entry)`` pairs of the clauses of ``goal``'s
         predicate that may match it, in textual order.
 
         They come from the program's index, by the goal's first argument
@@ -329,15 +337,16 @@ class ProofSearch:
             return wild
         return sorted(own + wild) if wild else own
 
-    def backchain(self, clause: Clause, goal: Atom, depth: int, cont: tuple):
-        """Try ``clause``, a program clause of ``goal``'s predicate, on ``goal``,
-        with fresh variables for the universals absent from its head (the match
-        sets the rest): the continuation that proves its body one call deeper,
-        records its bc steps and the atom's pv step (or their thetas alone),
-        then goes on with ``cont``; or False when the head does not match."""
-        code = self.program.compiled.get(id(clause))
-        if code is None:  # not compiled yet
-            code = self.program.compiled[id(clause)] = _compile(clause)
+    def backchain(self, entry: _Entry, goal: Atom, depth: int, cont: tuple):
+        """Try ``entry``'s clause, of ``goal``'s predicate, on ``goal``, with
+        fresh variables for the universals absent from its head (the match
+        sets the rest): the continuation that proves its body one call
+        deeper, records its bc steps ``(code, depth, witnesses)`` and the
+        atom's pv step (or their thetas alone), then goes on with ``cont``;
+        or False when the head does not match."""
+        code = entry.code
+        if code is None:  # not compiled yet: one store, as sessions share the entry
+            code = entry.code = _compile(entry.template)
         w = [None] * len(code.names)
         for i, name in code.fresh:
             w[i] = fresh_var(name)
@@ -348,7 +357,7 @@ class ProofSearch:
             group, layers = [], code.template[0]
             for i in range(len(layers), -1, -1):  # the core first, then each layer inward out
                 theta = (layers[i].var.name, w[i]) if i < len(layers) and layers[i].noisy else None
-                group.append(("bc", _Layer(code.template, w, i) if i else clause, goal, theta))
+                group.append(("bc", (code, i, w), goal, theta))
             group.append(("pv", self.program, goal, None))
             cont = (None, group, cont)
         elif code.noisy:
@@ -449,6 +458,8 @@ class SolveSession:
     """
 
     def __init__(self, program: Program, goal: Goal, config: SolveConfig):
+        if not isinstance(goal, (Atom, Conj, Exists)):  # wellformed would check it as a clause
+            raise EngineError(f"not a goal node: {goal!r}")
         # a copy: the query may name predicates the program does not, and
         # those must not enter a table that other sessions share
         issues = wellformed(goal, arities=program.arities())
@@ -529,13 +540,8 @@ def step_texts(trace: ProofTrace) -> Iterator[tuple]:
             texts[id(goal)] = format_goal(goal, var_text)
         return texts[id(goal)]
 
-    compiled = trace.raw_steps[-1][1].compiled  # a program clause's text is kept there
     for i, (kind, focus, goal, theta) in enumerate(trace.raw_steps, 1):
-        if type(focus) is _Layer:  # a clause's layer: its outermost binder is the clause
-            focus, depth, w = focus.template[0][0], focus.depth, focus.witnesses
-        else:
-            depth, w = 0, ()
-        clause = focus.name if kind == "pv" else compiled[id(focus)].text(depth, w, var_text)
+        clause = focus.name if kind == "pv" else focus[0].text(focus[1], focus[2], var_text)
         theta = theta and (theta[0], var_text(theta[1]))
         yield i, kind, goal, clause, goal_text(goal), theta
 

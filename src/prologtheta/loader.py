@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .terms import Unknown, fresh_unknown
-from .syntax import Clause, desugar_clause_vars, wellformed
+from .syntax import Clause, NodeError, arity_issues, desugar_clause_vars, wellformed
 from .parser import ParseError, ParseIssue, SourceModule, parse_module
 
 
@@ -24,9 +24,9 @@ class Program:
 
     ``arity_table`` maps each predicate to its arity at first use, as the
     well-formedness check built it; readers must not extend it.  ``index``
-    and ``compiled`` are the engine's, each filled in one store by a search
-    sharing the program: its first-argument index at its first search, and
-    a clause's compiled form, under the clause's ``id``, at its first try.
+    is the engine's, built by the program's first search: each clause's
+    binder chain and code, by predicate and first argument (see
+    ``engine._index``).
     """
 
     name: str
@@ -34,7 +34,6 @@ class Program:
     unknown_table: dict
     arity_table: dict
     index: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    compiled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def arities(self) -> dict:
         """A copy of the arity table, free for a caller to extend."""
@@ -56,7 +55,7 @@ def skolemize(module: SourceModule) -> Program:
     for k, raw in enumerate(module.raw_clauses):
         try:
             clause = desugar_clause_vars(raw, table)
-        except ValueError as err:
+        except (ValueError, NodeError) as err:
             issues.append((k, str(err)))
             continue
         issues.extend((k, p) for p in wellformed(clause, arities=arities))
@@ -64,9 +63,7 @@ def skolemize(module: SourceModule) -> Program:
     if issues:
         spans = module.source_spans
         raise ParseError([ParseIssue(p, *spans[k]) for k, p in issues])
-    return Program(
-        name=module.name, clauses=tuple(closed), unknown_table=table, arity_table=arities
-    )
+    return Program(module.name, tuple(closed), unknown_table=table, arity_table=arities)
 
 
 def load(source: str, *, name: Optional[str] = None) -> Program:
@@ -87,26 +84,22 @@ def combine(programs: Iterable[Program]) -> Program:
     """Concatenate loaded programs in load order; no programs make an
     empty one, named ``program``.
 
-    Predicate arities must stay consistent across modules; unknowns from
-    different modules are already distinct by construction.
+    Arity tables merge in load order, one issue per clashing predicate and
+    module; unknowns from different modules are distinct by construction.
     """
     programs = list(programs)
     if len(programs) == 1:
         return programs[0]
-    clauses: list[Clause] = []
     table: dict[str, Unknown] = {}
     arities: dict[str, int] = {}
     issues: list[ParseIssue] = []
     for prog in programs:
-        for clause in prog.clauses:
-            issues.extend(ParseIssue(f"in module {prog.name}: {p}", 0, 0)
-                          for p in wellformed(clause, arities=arities))
-        clauses.extend(prog.clauses)
+        issues.extend(ParseIssue(f"in module {prog.name}: {p}", 0, 0) for pred, n
+                      in prog.arity_table.items() for p in arity_issues(pred, n, arities))
         for decl, unk in prog.unknown_table.items():
             key = decl if decl not in table else f"{prog.name}.{decl}"
             table[key] = unk
     if issues:
         raise ParseError(issues)
-    return Program(
-        name="program", clauses=tuple(clauses), unknown_table=table, arity_table=arities
-    )
+    clauses = tuple(clause for prog in programs for clause in prog.clauses)
+    return Program(name="program", clauses=clauses, unknown_table=table, arity_table=arities)

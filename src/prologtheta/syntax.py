@@ -151,7 +151,7 @@ def _fold(node, in_goal: bool, on_atom, on_binder, scope):
         return out
     if in_goal and isinstance(node, _CLAUSE_NODES):
         raise NodeError("universal/clause construct not allowed in a goal")
-    if not in_goal and isinstance(node, (Conj, Exists)):
+    if not in_goal and isinstance(node, Exists):
         raise NodeError("existential not allowed in a clause")
     raise NodeError(f"not a {'goal' if in_goal else 'clause'} node: {node!r}")
 
@@ -206,7 +206,7 @@ class _FreeVars:
         return v
 
 
-def _desugar(node, free: _FreeVars):
+def _desugar(node, free: _FreeVars, in_goal: bool):
     def on_atom(a: Atom, scope: tuple) -> Atom:
         env, active = scope
 
@@ -236,7 +236,7 @@ def _desugar(node, free: _FreeVars):
         v = fresh_var(var.name) if var.id in active else var
         return v, noisy, ({**env, var.name: v}, active | {v.id})
 
-    return fold(node, on_atom, on_binder, ({}, set()))
+    return _fold(node, in_goal, on_atom, on_binder, ({}, set()))
 
 
 def desugar_clause_vars(raw_clause: Clause, unknowns: Optional[dict] = None) -> Clause:
@@ -249,11 +249,11 @@ def desugar_clause_vars(raw_clause: Clause, unknowns: Optional[dict] = None) -> 
     Loading Skolemizes in the same pass: a free name declared in
     ``unknowns`` becomes its Unknown, and each ``*`` a fresh Unknown in
     textual order.  Raises ValueError when an explicit binder reuses a
-    declared name; a fact's binders all precede its ``*``s, so a rejected
-    fact draws no Unknown.
+    declared name, and NodeError for a node out of place; a fact's binders
+    all precede its ``*``s, so a rejected fact draws no Unknown.
     """
     free = _FreeVars(unknowns or {}, skolemize=True)
-    out = _desugar(raw_clause, free)
+    out = _desugar(raw_clause, free, in_goal=False)
     if free.clashes:
         raise ValueError(f"ambiguous unknown scope: {', '.join(sorted(free.clashes))}")
     for v in reversed(free.order):
@@ -268,7 +268,7 @@ def desugar_query_vars(raw_goal: Goal) -> Goal:
     become noisy ones.  Explicit ``some`` / ``some*`` binders are preserved.
     """
     free = _FreeVars({}, skolemize=False)
-    out = _desugar(raw_goal, free)
+    out = _desugar(raw_goal, free, in_goal=True)
     for v in reversed(free.order):
         out = Exists(v, out, noisy=v.name != "_")
     return out
@@ -276,6 +276,12 @@ def desugar_query_vars(raw_goal: Goal) -> Goal:
 
 # ---------------------------------------------------------------------------
 # Well-formedness.
+
+
+def arity_issues(pred: str, arity: int, arities: dict) -> list[str]:
+    """Enter ``pred``'s arity at its first use; the issue of a use with another."""
+    seen = arities.setdefault(pred, arity)
+    return [] if seen == arity else [f"predicate {pred} used with arity {arity} after arity {seen}"]
 
 
 def wellformed(node: Union[Goal, Clause], *, arities: Optional[dict] = None) -> list[str]:
@@ -299,13 +305,7 @@ def wellformed(node: Union[Goal, Clause], *, arities: Optional[dict] = None) -> 
                 errors.append("placeholder '*' not allowed here")
 
     def check_atom(a: Atom, bound: frozenset) -> Atom:
-        seen = arities.get(a.pred)
-        if seen is None:
-            arities[a.pred] = len(a.args)
-        elif seen != len(a.args):
-            errors.append(
-                f"predicate {a.pred} used with arity {len(a.args)} after arity {seen}"
-            )
+        errors.extend(arity_issues(a.pred, len(a.args), arities))
         for t in a.args:
             check_term(t, bound)
         return a

@@ -11,8 +11,11 @@ from prologtheta.terms import Compound, Const, Var, is_ground, reset_fresh_count
 from prologtheta.syntax import (
     Atom,
     Conj,
+    Fact,
+    Forall,
+    Rule,
+    binders,
     desugar_query_vars,
-    iter_atoms,
     map_terms,
 )
 from prologtheta.parser import format_clause, format_goal, format_term, parse_query
@@ -371,9 +374,11 @@ def index_entries(program):
 
 
 def every_clause(search, goal):
-    """The unindexed scan: every clause of the goal's predicate in order."""
-    clauses = enumerate(search.program.clauses)
-    return [(i, clause) for i, clause in clauses if iter_atoms(clause)[0].pred == goal.pred]
+    """The unindexed scan: every entry of the index, in textual order, whose
+    clause's head has the goal's predicate."""
+    pairs = sorted(pair for every, _, _ in search.program.index.values() for pair in every)
+    assert [i for i, _ in pairs] == list(range(len(search.program.clauses)))
+    return [(i, entry) for i, entry in pairs if entry.template[1].head.pred == goal.pred]
 
 
 def test_indexed_search_matches_the_scan_of_every_clause(monkeypatch):
@@ -428,6 +433,24 @@ def test_a_program_is_indexed_once_at_its_first_search():
     assert answers(first) == answers(second) != []
 
 
+def test_each_clause_s_chain_is_walked_once_per_program(monkeypatch):
+    # the index walks each chain once, and a clause's first try compiles
+    # the (layers, core) its entry holds: no session walks a clause again
+    import prologtheta.engine as engine
+
+    prog = load("all* X : p(X) :- q(X, Y), some Z : q(Z, X).\nq(a, b).\nq(b, a).\n" + PATH,
+                name="m")
+    walked, walk = [], engine.binders
+    monkeypatch.setattr(engine, "binders", lambda node: walked.append(node) or walk(node))
+    for config in (ALL, SolveConfig(max_solutions=None, trace_enabled=False)):
+        for query in ("p(W)", "path(n0, Y)", "path(X, n3)"):
+            sols = list(solve(prog, desugar_query_vars(parse_query(query)), config))
+            assert sols and all(format_proof(sol.trace, sol.answer) for sol in sols if sol.trace)
+    clauses = [node for node in walked if isinstance(node, (Fact, Rule, Forall))]
+    assert len(clauses) == len(prog.clauses) == 10
+    assert all(walked is clause for walked, clause in zip(clauses, prog.clauses))
+
+
 @pytest.mark.parametrize("text, query, offered", [
     # a key with only its own clauses, and a predicate of variable heads only
     pytest.param(INDEXED_MODULES[3][0], "app(cons(a, nil), X, Y)", 1, id="own"),
@@ -444,8 +467,8 @@ def test_candidates_are_lists_the_index_stores(text, query, offered):
 
 
 def test_a_deep_copy_of_a_searched_program_answers_as_it_does():
-    # the copy's clauses are new objects: its index holds them, and the ids
-    # its compiled forms are stored under are those of the original's clauses
+    # the copy's clauses are new objects: its index entries hold them, and
+    # the code compiled from them, so no entry reads the original's clauses
     import copy
     import gc
 
@@ -461,8 +484,12 @@ def test_a_deep_copy_of_a_searched_program_answers_as_it_does():
     copied = copy.deepcopy(prog)
     del prog
     gc.collect()
-    assert all(clause is copied.clauses[i]
-               for every, _, _ in copied.index.values() for i, clause in every)
+    entries = [pair for every, _, _ in copied.index.values() for pair in every]
+    assert sorted(i for i, _ in entries) == list(range(len(copied.clauses)))
+    for i, entry in entries:
+        layers, core = entry.template
+        assert (layers[0] if layers else core) is copied.clauses[i]
+        assert entry.code is None or entry.code.template is entry.template
     assert outcomes(copied) == before
 
 
@@ -548,13 +575,23 @@ def reference_texts(trace):
             return Compound(term.functor, tuple(resolve(a, path) for a in term.args))
         return term
 
-    def printed(node, fmt):  # a layer's outer binders renamed to their witnesses
-        node, renaming = node.parts() if hasattr(node, "parts") else (node, {})
+    def printed(node, renaming, fmt):  # a layer's outer binders renamed to their witnesses
         return fmt(node, lambda v: format_term(resolve(renaming.get(v.id, v))))
 
+    def clause_layer(focus):  # a clause try's (code, depth, witnesses), from its template
+        code, depth, witnesses = focus
+        layers, core = code.template
+        renaming = {layer.var.id: w for layer, w in zip(layers[:depth], witnesses)}
+        return layers[depth] if depth < len(layers) else core, renaming
+
+    def goal_layer(goal):  # a pv step's goal, or a layer of a query's chain
+        return goal.parts() if hasattr(goal, "parts") else (goal, {})
+
     return [
-        (i, kind, goal, focus.name if kind == "pv" else printed(focus, format_clause),
-         printed(goal, format_goal), theta and (theta[0], format_term(resolve(theta[1]))))
+        (i, kind, goal,
+         focus.name if kind == "pv" else printed(*clause_layer(focus), format_clause),
+         printed(*goal_layer(goal), format_goal),
+         theta and (theta[0], format_term(resolve(theta[1]))))
         for i, (kind, focus, goal, theta) in enumerate(trace.raw_steps, 1)
     ]
 
@@ -703,6 +740,12 @@ def test_unclosed_goal_is_rejected():
         solve(prog, parse_query("p(X)"), ALL)  # not desugared
 
 
+def test_a_clause_node_as_the_goal_is_rejected():
+    # a Fact would pass a check that takes it for a clause, then fail the search
+    with pytest.raises(EngineError, match="not a goal node: Fact"):
+        solve(load("p."), Fact(Atom("p", ())), ALL).next_solution()
+
+
 def test_query_arity_mismatch_is_rejected():
     prog = load("p(a).")
     goal = desugar_query_vars(parse_query("p(a, b)"))
@@ -825,7 +868,7 @@ def test_a_universal_met_inside_a_bound_head_subterm_keeps_the_occurs_check():
 def _compiled(text, index=0):
     from prologtheta.engine import _compile
 
-    return _compile(load(text).clauses[index])
+    return _compile(binders(load(text).clauses[index]))
 
 
 def test_a_repeated_head_variable_is_a_first_op_then_a_repeat_op():
@@ -851,7 +894,8 @@ def test_a_slot_free_head_subterm_is_bound_as_it_is_not_copied():
     assert bound[0] is bound[1] is fact.head.args[0]  # the clause's own object
     # one under a compound with slots too: it is passed in as a constant
     assert bound[2] is bound[3] is rule.inner.head.args[0].args[1]
-    assert prog.compiled[id(rule)].head == ["g", "X", bound[2]]
+    (_, entry), = prog.index["q"][0]
+    assert entry.code.head == ["g", "X", bound[2]]
 
 
 def test_a_compound_over_a_repeated_head_variable_keeps_the_occurs_check():
@@ -933,7 +977,7 @@ def test_clauses_of_one_shape_share_their_functions_and_no_name_is_in_the_source
     names = ["alpha", "beta", "fun", "kay", "ell", "gamma", "delta", "gun", "em", "en"]
     prog = load("alpha(fun(X), kay) :- beta(X, ell), some Z : beta(Z, X).\n"
                 "gamma(gun(Y), em) :- delta(Y, en), some W : delta(W, Y).\n")
-    first, second = (_compile(clause) for clause in prog.clauses)
+    first, second = (_compile(binders(clause)) for clause in prog.clauses)
     assert first.match is second.match and first.build is second.build
     assert first.sources == second.sources
     assert not re.search(r"\b(%s)\b" % "|".join(names + ["Z", "W", "X", "Y"]),
@@ -1025,8 +1069,9 @@ def test_a_clause_layer_is_cached_only_once_its_marks_are_slots():
     prog = load("all* X : p(X) :- q(X).\nq(b).", name="m")
     goal = desugar_query_vars(parse_query("p(b)"))
     list(solve(prog, goal, SolveConfig(trace_enabled=False)))  # compiles, prints nothing
-    for code in prog.compiled.values():
-        code.shown = Whole()
+    for every, _, _ in prog.index.values():
+        for _, entry in every:
+            entry.code.shown = Whole()
     sol = solve(prog, goal, SolveConfig()).next_solution()
     assert "bc(p(b) :- q(b), m, p(b), nil)" in format_proof(sol.trace, sol.answer)
 
@@ -1103,7 +1148,8 @@ def test_a_clause_layer_prints_the_goal_terms_its_head_took():
     reset_fresh_counters()
     lenient = SolveConfig(groundness_mode="lenient")
     (sol,) = solve(prog, desugar_query_vars(parse_query("go")), lenient)
-    assert prog.unknown_table["K"].id == sol.trace.raw_steps[-3][1].witnesses[0].id == 1
+    _, _, witnesses = sol.trace.raw_steps[-3][1]  # the bc step of t's outermost layer
+    assert prog.unknown_table["K"].id == witnesses[0].id == 1
     assert format_proof(sol.trace, sol.answer) == READ_PROOF
     assert solution_json(sol, "success") == {
         "answers": [{"var": "C", "term": "f(U)"}, {"var": "B", "term": "?k1"}],

@@ -1,11 +1,12 @@
 """Skolemization of don't-know constants and the load pipeline."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
 from prologtheta.terms import Unknown
-from prologtheta.syntax import Fact, Forall
+from prologtheta.syntax import Conj, Fact, Forall, Rule, atom
 from prologtheta.parser import ParseError, format_clause, parse_module
 from prologtheta.loader import Program, combine, load, load_path, skolemize
 
@@ -154,6 +155,49 @@ def test_combine_rejects_cross_module_arity_conflicts():
     second = load("p(a, b).", name="two")
     with pytest.raises(ParseError, match="arity"):
         combine([first, second])
+
+
+CLASH = ("p(a).", "p(a, b).\nq :- p(c, d).\nr(X) :- p(X, X), p(X, a).\n")
+
+
+def test_combine_reports_a_cross_module_clash_once_per_predicate_and_module():
+    first, second = load(CLASH[0], name="a"), load(CLASH[1], name="b")
+    with pytest.raises(ParseError) as err:
+        combine([first, second, load("s :- p(b, c).\nt(X) :- p(X, X).", name="c")])
+    assert [str(issue) for issue in err.value.issues] == [
+        "in module b: predicate p used with arity 2 after arity 1",
+        "in module c: predicate p used with arity 2 after arity 1",
+    ]
+
+
+def test_combine_merges_the_modules_arity_tables_without_a_fold(monkeypatch):
+    import prologtheta.loader as loader
+    from prologtheta.syntax import wellformed
+
+    modules = [load("p(a).\nq(X) :- p(X), r(X).", name="one"), load("r(b).", name="two"),
+               load("s(X, Y) :- q(X), t(Y).\nt(c).\np(b).", name="three")]
+    folded = {}
+    for clause in (clause for module in modules for clause in module.clauses):
+        assert wellformed(clause, arities=folded) == []
+    checked = []
+    monkeypatch.setattr(loader, "wellformed", lambda *a, **k: checked.append(a) or [])
+    merged = combine(modules)
+    assert checked == []
+    assert list(merged.arity_table.items()) == list(folded.items())
+    assert list(folded) == ["p", "q", "r", "s", "t"]
+
+
+@pytest.mark.parametrize("raw, message", [
+    (Rule(atom("p"), Fact(atom("q"))), "universal/clause construct not allowed in a goal"),
+    (Conj(atom("p"), atom("q")), "not a clause node: Conj("),
+], ids=["fact-in-body", "conj-as-clause"])
+def test_a_misplaced_node_in_a_module_is_a_parse_error_at_its_clause(raw, message):
+    module = parse_module("p.\nr :- s.\n")
+    module = replace(module, raw_clauses=(module.raw_clauses[0], raw))
+    with pytest.raises(ParseError) as err:
+        skolemize(module)
+    (issue,) = err.value.issues
+    assert (issue.line, issue.col) == (2, 1) and issue.message.startswith(message)
 
 
 def test_combined_unknowns_stay_module_scoped():
