@@ -16,14 +16,13 @@ query binding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .terms import Compound, Star, Term, Var, fold_term, fresh_unknown, fresh_var, reserve_var_ids
-from .terms import subterms
+from .terms import Compound, Star, Term, Var, fold_term, fresh_unknown, fresh_var, node_class
+from .terms import reserve_var_ids, subterms
 
 
-@dataclass(frozen=True)
+@node_class()
 class Atom:
     """A predicate applied to zero or more terms."""
 
@@ -31,13 +30,13 @@ class Atom:
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@node_class()
 class Conj:
     left: "Goal"
     right: "Goal"
 
 
-@dataclass(frozen=True)
+@node_class()
 class Exists:
     var: Var
     body: "Goal"
@@ -47,12 +46,12 @@ class Exists:
 Goal = Union[Atom, Conj, Exists]
 
 
-@dataclass(frozen=True)
+@node_class()
 class Fact:
     head: Atom
 
 
-@dataclass(frozen=True)
+@node_class()
 class Rule:
     """``head :- body``: the head holds whenever the body is provable."""
 
@@ -60,7 +59,7 @@ class Rule:
     body: Goal
 
 
-@dataclass(frozen=True)
+@node_class()
 class Forall:
     var: Var
     inner: "Clause"

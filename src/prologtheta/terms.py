@@ -14,6 +14,10 @@ undoes bindings by truncating a trail instead of rebuilding maps.
 Every walk over a term is a loop over an explicit stack (``subterms``,
 ``fold_term``, ``resolve_term`` and unification), so a term's depth costs
 heap, not Python frames.
+
+Term, goal and clause nodes are built by ``node_class``: a search builds
+them on every clause try, and a frozen dataclass's own ``__init__``, which
+stores each field through ``object.__setattr__``, costs about twice as much.
 """
 
 from __future__ import annotations
@@ -23,7 +27,21 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 
-@dataclass(frozen=True)
+def node_class(check: str = ""):
+    """A frozen, slotted dataclass; its ``__init__`` takes each field, with no
+    default, runs ``check`` and stores each through its slot's descriptor."""
+    def build(cls):
+        names, namespace = list(cls.__dict__.get("__annotations__", {})), {}
+        body = [check] * bool(check) + [f"_{n}(self, {n})" for n in names] or ["pass"]
+        exec(f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body), namespace)
+        cls.__init__ = namespace["__init__"]  # before dataclass, which reads it to write a __doc__
+        cls = dataclass(frozen=True, slots=True, init=False)(cls)
+        namespace.update({f"_{n}": getattr(cls, n).__set__ for n in names})  # the slots
+        return cls
+    return build
+
+
+@node_class()
 class Var:
     """A logic variable; two Vars denote the same variable iff ids match."""
 
@@ -31,14 +49,14 @@ class Var:
     id: int
 
 
-@dataclass(frozen=True)
+@node_class()
 class Const:
     """A 0-ary constant.  Integer literals are constants with digit names."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@node_class()
 class Unknown:
     """A don't-know constant: ground and opaque.
 
@@ -49,18 +67,14 @@ class Unknown:
     id: int
 
 
-@dataclass(frozen=True)
+# 0-ary data is a Const, never a Compound
+@node_class("if not args: raise ValueError('compound terms need at least one argument')")
 class Compound:
     functor: str
     args: tuple["Term", ...]
 
-    def __post_init__(self) -> None:
-        # 0-ary data is a Const, never a Compound.
-        if len(self.args) < 1:
-            raise ValueError("compound terms need at least one argument")
 
-
-@dataclass(frozen=True)
+@node_class()
 class Star:
     """Placeholder for a ``*`` argument in source text.
 

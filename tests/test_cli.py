@@ -757,6 +757,24 @@ def test_repl_reports_recursion_overflow_and_keeps_reading(tmp_path):
     assert rest == [f"X = {'s(' * i}z{')' * i}\n" for i in range(501)] + [""]  # then :quit
 
 
+# one(V, 1) has one candidate clause, tried with no choicepoint of its own:
+# its head binds V = k and then fails on 2, so only alt's choicepoint,
+# older than that binding, undoes it before alt(j, N) is tried
+ONE = "one(k, 2).\nalt(V, N) :- one(V, N).\nalt(j, N).\n"
+
+
+@pytest.mark.parametrize("options", [["--trace"], [], ["--occurs-check", "off"]])
+def test_a_failed_one_clause_try_leaves_no_binding(options, tmp_path, capsys):
+    module = tmp_path / "one.plt"
+    module.write_text(ONE, encoding="utf-8")
+    assert main(["--module", str(module), "--query", "alt(V, 1)", "--all", *options]) == 0
+    answers = [line for line in capsys.readouterr().out.splitlines() if not line[0].isdigit()]
+    assert answers == ["V = j", "answer: {V = j}"] if options == ["--trace"] else ["V = j"]
+    # with no choicepoint left, the failed try ends the search
+    assert main(["--module", str(module), "--query", "one(V, 1)", "--all", *options]) == 1
+    assert capsys.readouterr().out == "no.\n"
+
+
 CYCLE = "eq(X, X).\nq(X, Y) :- eq(X, f(Y)), eq(Y, g(X)).\n"
 
 

@@ -1,6 +1,9 @@
 """Trailed unification, binding resolution, and their algebraic laws."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from prologtheta.terms import (
     Compound,
     Const,
+    Star,
     Unknown,
     Var,
     compound,
@@ -21,6 +25,7 @@ from prologtheta.terms import (
     unify_into,
 )
 from prologtheta.parser import format_term
+from prologtheta.syntax import Atom, Conj, Exists, Fact, Forall, Rule
 
 X = Var("X", 9001)
 Y = Var("Y", 9002)
@@ -165,8 +170,41 @@ def test_fresh_var_ids_are_distinct():
 
 
 def test_compound_requires_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="compound terms need at least one argument"):
         Compound("f", ())
+    with pytest.raises(ValueError):
+        Compound(functor="f", args=())
+
+
+_P = Atom("p", (Var("X", 1),))
+_NODES = [  # every node class of terms and syntax, and its repr
+    (Var("X", 1), "Var(name='X', id=1)"),
+    (Const("a"), "Const(name='a')"),
+    (Unknown(3), "Unknown(id=3)"),
+    (Compound("f", (Const("a"),)), "Compound(functor='f', args=(Const(name='a'),))"),
+    (Star(), "Star()"),
+    (_P, "Atom(pred='p', args=(Var(name='X', id=1),))"),
+    (Conj(_P, _P), f"Conj(left={_P!r}, right={_P!r})"),
+    (Exists(Var("X", 1), _P, True), f"Exists(var=Var(name='X', id=1), body={_P!r}, noisy=True)"),
+    (Fact(_P), f"Fact(head={_P!r})"),
+    (Rule(_P, _P), f"Rule(head={_P!r}, body={_P!r})"),
+    (Forall(Var("X", 1), Fact(_P), False),
+     f"Forall(var=Var(name='X', id=1), inner=Fact(head={_P!r}), noisy=False)"),
+]
+
+
+@pytest.mark.parametrize("node, text", _NODES, ids=[type(n).__name__ for n, _ in _NODES])
+def test_nodes_are_immutable_slotted_values(node, text):
+    names = [field.name for field in dataclasses.fields(node)]
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+    assert type(node).__slots__ == tuple(names) and not hasattr(node, "__dict__")
+    twin = type(node)(**{name: getattr(node, name) for name in names})
+    assert twin == node and hash(twin) == hash(node) and twin is not node
+    assert repr(node) == text
+    for copied in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert copied == node and hash(copied) == hash(node)
 
 
 # ---------------------------------------------------------------------------
