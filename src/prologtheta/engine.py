@@ -5,16 +5,15 @@ simplifies a goal until it is an atom, and backchaining (``backchain``,
 displayed as ``bc``), which decomposes one program clause until its head
 matches the atom.  ``ProofSearch.prove`` runs both in one loop over a
 continuation (goals still to prove and steps still to record) and a stack of
-choicepoints (atoms with clauses left to try), so a deep proof costs heap,
-not Python frames.  Backtracking undoes the trail and truncates the steps to
-the newest choicepoint's marks.  A call with one candidate clause pushes no
-choicepoint (the WAM's ``switch_on_term``): if its head does not match, the
-newest choicepoint's older trail mark undoes what it bound.  Each clause is
-compiled on its first try to two generated Python functions, which clauses
-of the same shape share: one matches the head, one builds the body (the
-WAM's get and put instructions as host code: Warren 1983).  A universal the
-head matches takes the goal's term, so a try makes two calls and a fresh
-variable only where its head builds a term or for one only its body has.
+choicepoints (atoms with clauses left to try), so a deep proof costs heap, not
+Python frames.  Backtracking undoes the trail and truncates the steps to the
+newest choicepoint's marks; a call with one candidate clause pushes no
+choicepoint (the WAM's ``switch_on_term``).  Each clause is compiled on its
+first try to two generated Python functions, which clauses of the same shape
+share: one matches the head, one builds the body (the WAM's get and put
+instructions as host code: Warren 1983).  A universal the head matches takes
+the goal's term, so a try makes two calls and a fresh variable only where its
+head builds a term or for one only its body has.
 
 Every completed inference contributes one step to the proof; a step
 carries a binding exactly when it instantiated a noisy quantifier.  Steps
@@ -409,7 +408,7 @@ class ProofSearch:
                     self.depth_clipped = True
                 else:
                     candidates = self.candidates(goal)  # ordered clause trial
-                    if len(candidates) == 1:  # no alternative: no choicepoint
+                    if len(candidates) == 1:  # no choicepoint: an older one's mark undoes a miss
                         cont = self.backchain(candidates[0][1], goal, depth, cont)
                         if cont is not False:
                             continue

@@ -15,21 +15,22 @@ Every walk over a term is a loop over an explicit stack (``subterms``,
 ``fold_term``, ``resolve_term`` and unification), so a term's depth costs
 heap, not Python frames.
 
-Term, goal and clause nodes are built by ``node_class``: a search builds
-them on every clause try, and a frozen dataclass's own ``__init__``, which
-stores each field through ``object.__setattr__``, costs about twice as much.
+A search builds term and goal nodes on every clause try, so ``node_class``
+stores each node's fields through slots, not ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 def node_class(check: str = ""):
-    """A frozen, slotted dataclass; its ``__init__`` takes each field, with no
-    default, runs ``check`` and stores each through its slot's descriptor."""
+    """A frozen, slotted dataclass; ``__init__`` takes every field, runs ``check``, fills slots."""
+    def frozen(self, name, *value):  # dataclass's own close over the class slots=True replaces
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
     def build(cls):
         names, namespace = list(cls.__dict__.get("__annotations__", {})), {}
         body = [check] * bool(check) + [f"_{n}(self, {n})" for n in names] or ["pass"]
@@ -37,6 +38,7 @@ def node_class(check: str = ""):
         cls.__init__ = namespace["__init__"]  # before dataclass, which reads it to write a __doc__
         cls = dataclass(frozen=True, slots=True, init=False)(cls)
         namespace.update({f"_{n}": getattr(cls, n).__set__ for n in names})  # the slots
+        cls.__setattr__ = cls.__delattr__ = frozen
         return cls
     return build
 

@@ -196,9 +196,11 @@ _NODES = [  # every node class of terms and syntax, and its repr
 @pytest.mark.parametrize("node, text", _NODES, ids=[type(n).__name__ for n, _ in _NODES])
 def test_nodes_are_immutable_slotted_values(node, text):
     names = [field.name for field in dataclasses.fields(node)]
-    for name in names:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    for name in names + ["extra"]:  # a field or not, as a frozen dataclass without slots
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
             setattr(node, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(node, name)
     assert type(node).__slots__ == tuple(names) and not hasattr(node, "__dict__")
     twin = type(node)(**{name: getattr(node, name) for name in names})
     assert twin == node and hash(twin) == hash(node) and twin is not node
