@@ -3,8 +3,8 @@
 Loading replaces don't-know placeholders during an initialization phase:
 every name declared with ``unknown X, Y.`` maps to one shared fresh
 Unknown across the whole module, and every ``*`` argument gets its own
-fresh Unknown.  The same pass over each clause closes its variables as
-silent universals; the result is then checked for well-formedness.
+fresh Unknown.  The same fold over each clause closes its variables as
+silent universals and enters its atoms' arities into the module's table.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .terms import Unknown, fresh_unknown
-from .syntax import Clause, NodeError, arity_issues, desugar_clause_vars, wellformed
+from .syntax import Clause, NodeError, arity_issues, desugar_clause_vars
 from .parser import ParseError, ParseIssue, SourceModule, parse_module
 
 
@@ -22,8 +22,8 @@ from .parser import ParseError, ParseIssue, SourceModule, parse_module
 class Program:
     """An immutable, closed program: safe to share between sessions.
 
-    ``arity_table`` maps each predicate to its arity at first use, as the
-    well-formedness check built it; readers must not extend it.  ``index``
+    ``arity_table`` maps each predicate to its arity at first use, as
+    desugaring built it; readers must not extend it.  ``index``
     is the engine's, built by the program's first search: each clause's
     binder chain and code, by predicate and first argument (see
     ``engine._index``).
@@ -54,12 +54,9 @@ def skolemize(module: SourceModule) -> Program:
     arities: dict[str, int] = {}
     for k, raw in enumerate(module.raw_clauses):
         try:
-            clause = desugar_clause_vars(raw, table)
+            closed.append(desugar_clause_vars(raw, table, arities=arities))
         except (ValueError, NodeError) as err:
-            issues.append((k, str(err)))
-            continue
-        issues.extend((k, p) for p in wellformed(clause, arities=arities))
-        closed.append(clause)
+            issues.extend((k, p) for p in err.args)  # one per arity clash
     if issues:
         spans = module.source_spans
         raise ParseError([ParseIssue(p, *spans[k]) for k, p in issues])
@@ -85,7 +82,9 @@ def combine(programs: Iterable[Program]) -> Program:
     empty one, named ``program``.
 
     Arity tables merge in load order, one issue per clashing predicate and
-    module; unknowns from different modules are distinct by construction.
+    module.  Unknowns from different modules are distinct by construction,
+    and each keeps a key: ``K`` as declared, then ``m.K`` qualified by its
+    module's name, and ``m.K#3`` (its place in the table) if that is taken.
     """
     programs = list(programs)
     if len(programs) == 1:
@@ -98,6 +97,8 @@ def combine(programs: Iterable[Program]) -> Program:
                       in prog.arity_table.items() for p in arity_issues(pred, n, arities))
         for decl, unk in prog.unknown_table.items():
             key = decl if decl not in table else f"{prog.name}.{decl}"
+            if key in table:  # numbered by its place, which no other key has
+                key = f"{key}#{len(table) + 1}"
             table[key] = unk
     if issues:
         raise ParseError(issues)

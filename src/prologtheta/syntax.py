@@ -176,38 +176,17 @@ def iter_atoms(node) -> list[Atom]:
 # Desugaring.
 
 
-class _FreeVars:
-    """Free names and anonymous occurrences in first-occurrence order.
+def _desugar(node, in_goal: bool, unknowns: dict, arities: Optional[dict]):
+    # free names and anonymous occurrences, in first-occurrence order; a free
+    # name declared in ``unknowns`` is that Unknown, not a variable
+    named: dict[str, Var] = {}
+    order: list[Var] = []
+    clashes: set[str] = set()  # binders that reuse a declared name
+    uses: list[tuple[str, int]] = []  # each atom's predicate and arity
 
-    A free name declared in ``unknowns`` is that Unknown, not a variable,
-    and a binder that reuses a declared name is collected in ``clashes``.
-    With ``skolemize``, each ``*`` becomes a fresh Unknown.
-    """
-
-    def __init__(self, unknowns: dict, skolemize: bool) -> None:
-        self.named: dict[str, Var] = {}
-        self.order: list[Var] = []
-        self.unknowns = unknowns
-        self.skolemize = skolemize
-        self.clashes: set[str] = set()
-
-    def for_name(self, name: str) -> Term:
-        v = self.named.get(name) or self.unknowns.get(name)
-        if v is None:
-            v = fresh_var(name)
-            self.named[name] = v
-            self.order.append(v)
-        return v
-
-    def for_anonymous(self) -> Var:
-        v = fresh_var("_")
-        self.order.append(v)
-        return v
-
-
-def _desugar(node, free: _FreeVars, in_goal: bool):
     def on_atom(a: Atom, scope: tuple) -> Atom:
         env, active = scope
+        uses.append((a.pred, len(a.args)))
 
         def leaf(term: Term) -> Term:
             if isinstance(term, Var):
@@ -216,11 +195,17 @@ def _desugar(node, free: _FreeVars, in_goal: bool):
                     # binder must stay put; a fresh one gets its own quantifier
                     if term.id in active:
                         return term
-                    return free.for_anonymous()
-                if term.name in env:
+                    v = fresh_var("_")
+                elif term.name in env:
                     return env[term.name]
-                return free.for_name(term.name)
-            if isinstance(term, Star) and free.skolemize and not free.clashes:
+                else:
+                    v = named.get(term.name) or unknowns.get(term.name)
+                    if v is not None:
+                        return v
+                    v = named[term.name] = fresh_var(term.name)
+                order.append(v)
+                return v
+            if isinstance(term, Star) and not in_goal and not clashes:
                 return fresh_unknown()
             return term
 
@@ -230,34 +215,46 @@ def _desugar(node, free: _FreeVars, in_goal: bool):
         # Keep the parsed binder variable unless an enclosing binder already
         # uses the same id (same-name nesting shares provisional ids).
         env, active = scope
-        if var.name in free.unknowns:
-            free.clashes.add(var.name)
+        if var.name in unknowns:
+            clashes.add(var.name)
+        reserve_var_ids(var.id)
         v = fresh_var(var.name) if var.id in active else var
         return v, noisy, ({**env, var.name: v}, active | {v.id})
 
-    return _fold(node, in_goal, on_atom, on_binder, ({}, set()))
+    out = _fold(node, in_goal, on_atom, on_binder, ({}, set()))
+    if clashes:
+        raise ValueError(f"ambiguous unknown scope: {', '.join(sorted(clashes))}")
+    if arities is not None:
+        issues = [p for pred, arity in uses for p in arity_issues(pred, arity, arities)]
+        if issues:
+            raise ValueError(*issues)
+    binder = Exists if in_goal else Forall
+    for v in reversed(order):
+        out = binder(v, out, in_goal and v.name != "_")
+    return out
 
 
-def desugar_clause_vars(raw_clause: Clause, unknowns: Optional[dict] = None) -> Clause:
+def desugar_clause_vars(raw_clause: Clause, unknowns: Optional[dict] = None, *,
+                        arities: Optional[dict] = None) -> Clause:
     """Close a clause: free and anonymous variables become silent universals.
 
     Explicit ``all`` / ``all*`` binders are preserved; each ``_`` occurrence
     gets its own quantifier.  Closure wraps the clause in first-occurrence
     order, outermost first.  Already-closed clauses come back unchanged.
+    Every binder's id is reserved, so no variable drawn later, after a
+    counter reset too, can take it.
 
-    Loading Skolemizes in the same pass: a free name declared in
+    Loading Skolemizes and checks in the same fold: a free name declared in
     ``unknowns`` becomes its Unknown, and each ``*`` a fresh Unknown in
-    textual order.  Raises ValueError when an explicit binder reuses a
-    declared name, and NodeError for a node out of place; a fact's binders
-    all precede its ``*``s, so a rejected fact draws no Unknown.
+    textual order.  Given a shared ``arities`` table, each atom's arity is
+    entered into it after the fold, as ``wellformed`` would, and without
+    one no arity is checked.  Raises NodeError for a node out of place, and
+    ValueError when an explicit binder reuses a declared name or, failing
+    that, with one argument per arity clash.  A clause rejected for a node
+    or a binder enters no arity; a fact's binders all precede its ``*``s,
+    so a rejected fact draws no Unknown.
     """
-    free = _FreeVars(unknowns or {}, skolemize=True)
-    out = _desugar(raw_clause, free, in_goal=False)
-    if free.clashes:
-        raise ValueError(f"ambiguous unknown scope: {', '.join(sorted(free.clashes))}")
-    for v in reversed(free.order):
-        out = Forall(v, out, noisy=False)
-    return out
+    return _desugar(raw_clause, False, unknowns or {}, arities)
 
 
 def desugar_query_vars(raw_goal: Goal) -> Goal:
@@ -266,11 +263,7 @@ def desugar_query_vars(raw_goal: Goal) -> Goal:
     ``_`` occurrences become silent existentials; named free variables
     become noisy ones.  Explicit ``some`` / ``some*`` binders are preserved.
     """
-    free = _FreeVars({}, skolemize=False)
-    out = _desugar(raw_goal, free, in_goal=True)
-    for v in reversed(free.order):
-        out = Exists(v, out, noisy=v.name != "_")
-    return out
+    return _desugar(raw_goal, True, {}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +283,8 @@ def wellformed(node: Union[Goal, Clause], *, arities: Optional[dict] = None) -> 
     be a shared predicate table so consistency is enforced across a whole
     program (it is extended in place).  Every binder's id is reserved, so
     no variable drawn later, after a counter reset too, can take it.
+    Solving checks each goal with it; loading checks a clause's arities
+    in the fold that desugars it, which leaves nothing else to find.
     """
     errors: list[str] = []
     if arities is None:

@@ -170,8 +170,26 @@ def test_combine_reports_a_cross_module_clash_once_per_predicate_and_module():
     ]
 
 
+def _count_folds(monkeypatch) -> list:
+    """Record the node of every outermost ``syntax._fold`` call from now on."""
+    import prologtheta.syntax as syntax
+
+    inner, depth, tops = syntax._fold, [], []
+
+    def counted(node, *rest):
+        if not depth:
+            tops.append(node)
+        depth.append(node)
+        try:
+            return inner(node, *rest)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(syntax, "_fold", counted)
+    return tops
+
+
 def test_combine_merges_the_modules_arity_tables_without_a_fold(monkeypatch):
-    import prologtheta.loader as loader
     from prologtheta.syntax import wellformed
 
     modules = [load("p(a).\nq(X) :- p(X), r(X).", name="one"), load("r(b).", name="two"),
@@ -179,17 +197,84 @@ def test_combine_merges_the_modules_arity_tables_without_a_fold(monkeypatch):
     folded = {}
     for clause in (clause for module in modules for clause in module.clauses):
         assert wellformed(clause, arities=folded) == []
-    checked = []
-    monkeypatch.setattr(loader, "wellformed", lambda *a, **k: checked.append(a) or [])
+    folds = _count_folds(monkeypatch)
     merged = combine(modules)
-    assert checked == []
+    assert folds == []
     assert list(merged.arity_table.items()) == list(folded.items())
     assert list(folded) == ["p", "q", "r", "s", "t"]
 
 
+def test_loading_folds_each_clause_once_and_never_calls_wellformed(monkeypatch):
+    import prologtheta.loader as loader
+    import prologtheta.syntax as syntax
+
+    assert not hasattr(loader, "wellformed") and not hasattr(syntax, "_FreeVars")
+    module = parse_module("unknown K.\np(K, *).\nq(X) :- p(X, _), some Y : r(Y).\n"
+                          "all Z : r(Z).\ns :- q(a), r(b).\n")
+    checked = []
+    monkeypatch.setattr(syntax, "wellformed", lambda *a, **k: checked.append(a) or [])
+    folds = _count_folds(monkeypatch)
+    prog = skolemize(module)
+    assert checked == []
+    assert len(folds) == 4 and all(a is b for a, b in zip(folds, module.raw_clauses))
+    assert prog.arity_table == {"p": 2, "q": 1, "r": 1, "s": 0}
+
+
+# each text's ParseError, pinned byte for byte
+LOAD_ERRORS = [
+    ("p(a).\nq :- p(a, b), r(c), r(c, d), p(e, f, g).\n",
+     "2:1: predicate p used with arity 2 after arity 1; "
+     "2:1: predicate r used with arity 2 after arity 1; "
+     "2:1: predicate p used with arity 3 after arity 1"),
+    # the rejected clause enters no arity, so p(b) is p's first use
+    ("unknown K.\nall K : p(K, a).\np(b).\n", "2:1: ambiguous unknown scope: K"),
+    ("unknown K.\np(a).\nall K : p(K, a, b) :- q(K), q.\nq(c).\n",
+     "3:1: ambiguous unknown scope: K"),
+    ("unknown K.\np(a).\np(b) :- some K : q(K, K).\np(c, d).\n",
+     "3:1: ambiguous unknown scope: K; 4:1: predicate p used with arity 2 after arity 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", LOAD_ERRORS,
+                         ids=["two-arity-clashes", "scope-only", "scope-and-arity", "scope-then-arity"])
+def test_load_errors_keep_their_exact_text(text, message):
+    with pytest.raises(ParseError) as err:
+        load(text)
+    assert str(err.value) == message
+
+
+def test_a_counter_reset_between_parsing_and_loading_changes_no_answer_or_proof():
+    from prologtheta import (SolveConfig, desugar_query_vars, format_proof, parse_query,
+                             reset_fresh_counters, solve)
+
+    text = ("all* X : all Y : p(X, Y) :- q(X), r(Y, Z).\nq(a).\nq(b).\n"
+            "all* W : r(W, f(W)) :- some* V : s(V, W).\ns(c, a).\ns(d, b).\n")
+
+    def run(reset: bool) -> list:
+        reset_fresh_counters()
+        module = parse_module(text)
+        if reset:
+            reset_fresh_counters()
+        prog = skolemize(module)
+        goal = desugar_query_vars(parse_query("p(A, B)"))
+        return [(sol.answer, format_proof(sol.trace, sol.answer))
+                for sol in solve(prog, goal, SolveConfig(max_solutions=None))]
+
+    kept = run(reset=False)
+    assert len(kept) == 4 and run(reset=True) == kept
+
+
+def test_combine_keys_every_modules_unknown():
+    progs = [load("unknown K.\np(K).", name="m") for _ in range(4)]
+    merged = combine(progs)
+    assert list(merged.unknown_table) == ["K", "m.K", "m.K#3", "m.K#4"]
+    assert list(merged.unknown_table.values()) == [p.unknown_table["K"] for p in progs]
+
+
 @pytest.mark.parametrize("raw, message", [
     (Rule(atom("p"), Fact(atom("q"))), "universal/clause construct not allowed in a goal"),
-    (Conj(atom("p"), atom("q")), "not a clause node: Conj("),
+    (Conj(atom("p"), atom("q")),
+     "not a clause node: Conj(left=Atom(pred='p', args=()), right=Atom(pred='q', args=()))"),
 ], ids=["fact-in-body", "conj-as-clause"])
 def test_a_misplaced_node_in_a_module_is_a_parse_error_at_its_clause(raw, message):
     module = parse_module("p.\nr :- s.\n")
@@ -197,7 +282,7 @@ def test_a_misplaced_node_in_a_module_is_a_parse_error_at_its_clause(raw, messag
     with pytest.raises(ParseError) as err:
         skolemize(module)
     (issue,) = err.value.issues
-    assert (issue.line, issue.col) == (2, 1) and issue.message.startswith(message)
+    assert (issue.line, issue.col) == (2, 1) and str(err.value) == f"2:1: {message}"
 
 
 def test_combined_unknowns_stay_module_scoped():
